@@ -21,14 +21,13 @@ FUZZTIME ?= 10s
 SCALING_SIZES ?= 500k
 SCALING_COUNT ?= 2
 
-# Allocation ceiling for the 100k in-level allocs row (see allocs-guard):
+# Allocation ceiling for the 100k allocs row (see allocs-guard):
 # steady-state is O(leaves + workers) — measured 64k allocs/op serial and
 # 77k at p8 for the ~1250-leaf tree (~50/leaf: tree nodes, leaf slices,
-# goroutine fan-out). The ceiling leaves ~2.6x headroom; chunk scratch
-# allocated per call instead of from the arena costs O(levels x chunks)
-# per bisect across ~2500 bisects (≥ 500k allocs/op) and blows through it
-# at once. This dynamic ceiling pairs with the static allocfree gate in
-# `make lint`: the analyzer rejects individual escape-to-heap sites in
+# goroutine fan-out). The ceiling leaves ~2.6x headroom; coarsening or FM
+# scratch allocated per call instead of from the arena multiplies that by
+# the level count across ~2500 bisects. This dynamic ceiling pairs with the
+# static allocfree gate in `make lint`: the analyzer rejects individual escape-to-heap sites in
 # //goldilocks:hotpath functions at compile time, while this guard catches
 # allocation growth the escape analysis cannot see (pool misses, input-
 # shaped amortization breaking down).
@@ -60,7 +59,7 @@ bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_PR10.json bench.txt
 	@echo "wrote BENCH_PR10.json"
 
-# The in-level scaling sweep: data-center-sized graphs (opt-in via
+# The parallel scaling sweep: data-center-sized graphs (opt-in via
 # GOLDILOCKS_SCALING_SIZES because a 500k cell costs minutes per
 # repetition), one iteration per repetition — PartitionToFit at these sizes
 # runs long enough that -benchtime 1x is already a stable sample, and the
@@ -70,8 +69,9 @@ scaling-bench:
 		-bench 'BenchmarkPartitionScaling/(sharded-)?powerlaw-500k' -run '^$$' \
 		-benchtime 1x -count=$(SCALING_COUNT) -timeout 3h . | tee bench_scaling.txt
 
-# Scaling guard: the blocking contract that in-level + recursive
-# parallelism actually buys wall-clock. Flat cells: p4 ≥ 1.6x over p1 on
+# Scaling guard: the blocking contract that partition parallelism (the
+# recursive fan-out plus the concurrent initial-bisection tries) actually
+# buys wall-clock. Flat cells: p4 ≥ 1.6x over p1 on
 # any host with ≥ 4 CPUs; hosts with ≥ 8 CPUs must also show p8 ≥ 2.5x.
 # Sharded cells carry higher floors (p4 ≥ 1.8x, p8 ≥ 3.5x): the pre-split
 # runs whole per-shard pipelines concurrently, so the serial FM share that

@@ -248,10 +248,10 @@ func scalingCases(raw string) ([]scalingCase, error) {
 	return out, nil
 }
 
-// BenchmarkPartitionScaling measures in-level + recursive parallel scaling
-// on data-center-sized container graphs (100k–1M vertices, far above the
-// inLevelMinN threshold, so chunked matching, parallel contraction and
-// parallel gain-init all engage). The sweep is opt-in — building a 10⁶-
+// BenchmarkPartitionScaling measures the partitioner's parallel scaling
+// (recursive fan-out, concurrent initial-bisection tries and, in the
+// sharded-* cells, concurrent shards) on data-center-sized container graphs
+// (100k–1M vertices). The sweep is opt-in — building a 10⁶-
 // vertex mesh per cell is too heavy for the default bench run — via
 // GOLDILOCKS_SCALING_SIZES, a comma-separated subset of 100k,500k,1m:
 //
@@ -260,8 +260,8 @@ func scalingCases(raw string) ([]scalingCase, error) {
 // `make scaling-bench` runs the 500k cells and `make scaling-guard` turns
 // the p4/p1 (and, on ≥8-core hosts, p8/p1) wall-clock ratios of the 500k
 // power-law cell into a blocking CI assertion via benchjson -speedup.
-// Output is bit-identical across the parallelism levels (the in-level
-// determinism contract), so the sub-benchmarks measure pure scheduling.
+// Output is bit-identical across the parallelism levels (the determinism
+// contract), so the sub-benchmarks measure pure scheduling.
 func BenchmarkPartitionScaling(b *testing.B) {
 	raw := os.Getenv("GOLDILOCKS_SCALING_SIZES")
 	if raw == "" {
@@ -274,7 +274,7 @@ func BenchmarkPartitionScaling(b *testing.B) {
 	for _, c := range cases {
 		g := c.gen(c.n, 7).Graph()
 		cap := serverCapacityFor(g, c.n/80)
-		// Flat cells measure in-level parallelism alone; the sharded-*
+		// Flat cells measure the recursive fan-out alone; the sharded-*
 		// cells pre-split into 8 topology shards (a plausible pod count at
 		// this scale) so whole subtrees of the recursion run concurrently.
 		// The sharded 500k power-law cell is the second blocking
@@ -325,12 +325,12 @@ func BenchmarkPartitionAllocs(b *testing.B) {
 		// a 4x bytes/op blowup at p4 before the reuse).
 		{"mixture-5k", workload.MixtureWorkload(5000, 7)},
 	}
-	// The 100k row is the arena-discipline check for the in-level parallel
-	// paths: above inLevelMinN the chunked matching, parallel contraction
-	// and parallel gain-init run, and their chunk scratch (bounds, count
-	// slabs, markers, fineOf) must come out of the level arena — a per-call
-	// allocation there shows up as ~10⁵ extra allocs/op instantly. It is
-	// opt-in (≈ 1 min/op) so the default bench sweep stays fast; `make
+	// The 100k row is the arena-discipline check at data-center scale:
+	// every coarsening level's match, contraction and FM scratch must come
+	// out of the level arena across ~2500 bisects, and the FM pass takes
+	// its large-graph lock-unmovable policy — a per-call allocation there
+	// shows up as tens of thousands of extra allocs/op. It is opt-in
+	// (≈ 1 min/op) so the default bench sweep stays fast; `make
 	// allocs-guard` runs it with its own ceiling.
 	if os.Getenv("GOLDILOCKS_ALLOCS_LARGE") != "" {
 		cases = append(cases, struct {

@@ -130,6 +130,9 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 		panic("netsim: Run called twice")
 	}
 	s.ran = true
+	// The span opens here, not in observe, so its wall duration covers the
+	// simulation itself.
+	run := s.opts.Trace.Child("netsim-run")
 	sort.SliceStable(s.arrivals, func(i, j int) bool { return s.arrivals[i].at < s.arrivals[j].at })
 
 	// Active flows live in an arrival-ordered slice, not a map: progressive
@@ -227,14 +230,14 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 		return done[i].ID < done[j].ID
 	})
 	sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
-	s.observe(done, stuck)
+	s.observe(run, done, stuck)
 	return done, stuck
 }
 
-// observe publishes the run's outcome to the optional telemetry sinks.
-func (s *Simulator) observe(done []Completed, stuck []FlowID) {
-	if sp := s.opts.Trace; sp.Enabled() {
-		run := sp.Child("netsim-run")
+// observe publishes the run's outcome to the optional telemetry sinks and
+// ends run, the span Run opened (nil when tracing is off).
+func (s *Simulator) observe(run *telemetry.Span, done []Completed, stuck []FlowID) {
+	if run.Enabled() {
 		run.SetInt("flows", len(done)+len(stuck))
 		run.SetInt("completed", len(done))
 		run.SetInt("stuck", len(stuck))

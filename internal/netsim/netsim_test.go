@@ -9,6 +9,7 @@ import (
 
 	"goldilocks/internal/power"
 	"goldilocks/internal/resources"
+	"goldilocks/internal/telemetry"
 	"goldilocks/internal/topology"
 )
 
@@ -288,6 +289,33 @@ func TestPropertyNoLinkOversubscribed(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRunSpanCoversSimulation: the netsim-run span must time the
+// simulation, not just the bookkeeping after it, so its wall duration is
+// at least half the wall time measured around Run.
+func TestRunSpanCoversSimulation(t *testing.T) {
+	tr := telemetry.NewTracer()
+	root := tr.Root("test", 0)
+	opts := noDelayOptions()
+	opts.Trace = root
+	s := New(testTopo(t), opts)
+	rng := rand.New(rand.NewSource(1))
+	for j := 0; j < 200; j++ {
+		s.Inject(time.Duration(rng.Intn(100))*time.Millisecond,
+			rng.Intn(16), rng.Intn(16), float64(rng.Intn(1e7)+1000))
+	}
+	start := time.Now()
+	s.Run()
+	outer := time.Since(start)
+	root.End()
+	kids := root.Children()
+	if len(kids) != 1 || kids[0].Name() != "netsim-run" {
+		t.Fatalf("want one netsim-run child span, got %d", len(kids))
+	}
+	if got := kids[0].WallDuration(); got < outer/2 {
+		t.Fatalf("netsim-run span lasted %v, Run took %v", got, outer)
 	}
 }
 

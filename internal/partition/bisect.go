@@ -53,7 +53,8 @@ func BisectFraction(g *graph.Graph, opts Options, frac float64) Bisection {
 // bisectCSR computes a balanced min-cut bisection of the arena's subproblem
 // graph g, writing the side assignment into a.side (grown to g.n) and
 // returning the cut weight. opts must already be defaulted; lim is the
-// run-wide worker-slot limiter shared across every nested bisection.
+// run-wide worker-slot limiter, which here only feeds the concurrent
+// initial-bisection tries (coarsening and refinement are serial).
 //
 //goldilocks:hotpath
 func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelArena) float64 {
@@ -77,7 +78,7 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelAre
 	}
 
 	cspan := dspan.Child("coarsen")
-	nl := coarsen(g, opts, lim, a)
+	nl := coarsen(g, opts, a)
 	coarsest := g
 	if nl > 0 {
 		coarsest = &a.levels[nl-1].g
@@ -94,7 +95,7 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelAre
 	rspan := dspan.Child("refine")
 	rspan.SetInt("level", nl)
 	rspan.SetInt("vertices", coarsest.n)
-	cut := refineGated(coarsest, sideOf, opts, frac, rspan, lim, a)
+	cut := refineGated(coarsest, sideOf, opts, frac, rspan, a)
 	rspan.SetFloat("cut", cut)
 	rspan.End()
 
@@ -111,7 +112,7 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelAre
 		lspan := dspan.Child("refine")
 		lspan.SetInt("level", i)
 		lspan.SetInt("vertices", fineGraph.n)
-		cut = refineGated(fineGraph, sideOf, opts, frac, lspan, lim, a)
+		cut = refineGated(fineGraph, sideOf, opts, frac, lspan, a)
 		lspan.SetFloat("cut", cut)
 		lspan.End()
 	}
@@ -124,12 +125,12 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelAre
 // and the split ladder's tie-break stay meaningful.
 //
 //goldilocks:hotpath
-func refineGated(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, lim Limiter, a *levelArena) float64 {
+func refineGated(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, a *levelArena) float64 {
 	if opts.presplitRefineCap > 0 && g.n > opts.presplitRefineCap {
 		span.SetInt("skipped", 1)
 		return g.cutWeight(sideOf)
 	}
-	return fmRefine(g, sideOf, opts, frac, span, lim, &a.fm)
+	return fmRefine(g, sideOf, opts, frac, span, &a.fm)
 }
 
 // initialBisection produces a balanced starting bisection of a (small)
@@ -184,11 +185,7 @@ func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac flo
 			tspan.SetStr("outcome", "unbalanced")
 			return
 		}
-		// Tries share the Limiter with sibling tries, so the quick
-		// refinement stays serial (nil lim): its heap bytes are already
-		// identical either way, but a try must not hold workers hostage
-		// while sibling tries wait for slots.
-		cut := fmRefine(g, side, quickOpts, frac, nil, nil, &scr.fm)
+		cut := fmRefine(g, side, quickOpts, frac, nil, &scr.fm)
 		tspan.SetFloat("cut", cut)
 		results[try].cut, results[try].ok = cut, true
 	}

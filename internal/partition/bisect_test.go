@@ -246,7 +246,7 @@ func TestCoarsenPreservesTotals(t *testing.T) {
 		g.AddEdge(rng.Intn(n), rng.Intn(n), float64(1+rng.Intn(4)))
 	}
 	c, a := testCSR(g)
-	nl := coarsen(c, DefaultOptions(), nil, a)
+	nl := coarsen(c, DefaultOptions(), a)
 	if nl == 0 {
 		t.Fatal("expected at least one coarsening level for n=300")
 	}
@@ -389,7 +389,7 @@ func TestContractAccumulatesEdges(t *testing.T) {
 	g.AddEdge(0, 1, 9)
 	c, a := testCSR(g)
 	lvl := a.level(0)
-	contract(c, []int32{1, 0, 2}, a, lvl, nil)
+	contract(c, []int32{1, 0, 2}, a, lvl)
 	if lvl.g.n != 2 {
 		t.Fatalf("coarse vertices = %d, want 2", lvl.g.n)
 	}

@@ -62,72 +62,58 @@ func heavyEdgeMatching(g *csrGraph, rng *rand.Rand, a *levelArena) []int32 {
 // emitted in the fine row-scan order with first-seen-keeps-position
 // accumulation (routeHalves dedup), so the coarse graph's adjacency layout —
 // and every float sum over it — matches the adjacency-list implementation's
-// AddEdge ordering bit for bit. Above the in-level size floor the rows are
-// built by contractRouteParallel instead — same bytes, fanned out (see
-// inlevel.go).
+// AddEdge ordering bit for bit.
 //
 //goldilocks:hotpath
-func contract(fine *csrGraph, match []int32, a *levelArena, lvl *csrLevel, lim Limiter) {
+func contract(fine *csrGraph, match []int32, a *levelArena, lvl *csrLevel) {
 	n := fine.n
 	cmap := growI32(&lvl.cmap, n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	for i := range cmap {
 		cmap[i] = -1
 	}
-	// fineOf records each coarse vertex's constituents (second slot −1 for
-	// singletons) so the parallel path can re-derive vertex weights without
-	// a serial accumulation scan.
-	fineOf := growI32(&a.il.fineOf, 2*n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	next := int32(0)
 	for v := 0; v < n; v++ {
 		if cmap[v] >= 0 {
 			continue
 		}
 		cmap[v] = next
-		fineOf[2*next] = int32(v)
-		fineOf[2*next+1] = -1
 		if m := match[v]; m != int32(v) && cmap[m] < 0 {
 			cmap[m] = next
-			fineOf[2*next+1] = m
 		}
 		next++
 	}
 	cn := int(next)
 
-	if useInLevel(n, lim) {
-		contractRouteParallel(fine, cmap, cn, fineOf, a, lvl, lim)
-	} else {
-		vw := growVecs(&lvl.g.vw, cn) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
-		for i := range vw {
-			vw[i] = resources.Vector{}
-		}
-		for v := 0; v < n; v++ {
-			cv := cmap[v]
-			vw[cv] = vw[cv].Add(fine.vw[v])
-		}
-
-		// Emit each undirected fine edge once (at its lower endpoint) as a
-		// pair of directed halves, then route into coarse rows with
-		// accumulation.
-		halves := a.halves[:0]
-		for v := 0; v < n; v++ {
-			cv := cmap[v]
-			for k := fine.xadj[v]; k < fine.xadj[v+1]; k++ {
-				to := fine.adj[k]
-				if int32(v) >= to {
-					continue // visit each undirected fine edge once
-				}
-				if cu := cmap[to]; cu != cv {
-					halves = append(halves,
-						halfEdge{row: cv, col: cu, w: fine.w[k]},
-						halfEdge{row: cu, col: cv, w: fine.w[k]})
-				}
-			}
-		}
-		a.halves = halves
-		a.routeHalves(cn, true, &lvl.g.xadj, &lvl.g.adj, &lvl.g.w)
-		lvl.g.vw = vw
+	vw := growVecs(&lvl.g.vw, cn) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	for i := range vw {
+		vw[i] = resources.Vector{}
+	}
+	for v := 0; v < n; v++ {
+		cv := cmap[v]
+		vw[cv] = vw[cv].Add(fine.vw[v])
 	}
 
+	// Emit each undirected fine edge once (at its lower endpoint) as a
+	// pair of directed halves, then route into coarse rows with
+	// accumulation.
+	halves := a.halves[:0]
+	for v := 0; v < n; v++ {
+		cv := cmap[v]
+		for k := fine.xadj[v]; k < fine.xadj[v+1]; k++ {
+			to := fine.adj[k]
+			if int32(v) >= to {
+				continue // visit each undirected fine edge once
+			}
+			if cu := cmap[to]; cu != cv {
+				halves = append(halves,
+					halfEdge{row: cv, col: cu, w: fine.w[k]},
+					halfEdge{row: cu, col: cv, w: fine.w[k]})
+			}
+		}
+	}
+	a.halves = halves
+	a.routeHalves(cn, true, &lvl.g.xadj, &lvl.g.adj, &lvl.g.w)
+	lvl.g.vw = vw
 	lvl.g.n = cn
 	lvl.g.toOrig = nil
 	lvl.g.totalVWValid = false
@@ -141,24 +127,17 @@ func contract(fine *csrGraph, match []int32, a *levelArena, lvl *csrLevel, lim L
 //
 // Each level's matching order comes from a generator derived from
 // (opts.Seed, level) rather than one shared across the run, so coarsening
-// draws no state reachable from other goroutines (see parallel.go). Levels
-// above the in-level size floor run the chunked matching and parallel
-// contraction paths, whose output is byte-identical to the serial ones.
+// draws no state reachable from other goroutines (see parallel.go).
 //
 //goldilocks:hotpath
-func coarsen(g *csrGraph, opts Options, lim Limiter, a *levelArena) int {
+func coarsen(g *csrGraph, opts Options, a *levelArena) int {
 	nl := 0
 	cur := g
 	for cur.n > opts.CoarsenTo {
 		rng := a.seeded(deriveSeed(opts.Seed, saltCoarsen, uint64(nl)))
-		var match []int32
-		if useInLevel(cur.n, lim) {
-			match = heavyEdgeMatchingChunked(cur, rng, a, lim)
-		} else {
-			match = heavyEdgeMatching(cur, rng, a)
-		}
+		match := heavyEdgeMatching(cur, rng, a)
 		lvl := a.level(nl) //lint:ignore allocfree per-level descriptor, one allocation per coarsening level
-		contract(cur, match, a, lvl, lim)
+		contract(cur, match, a, lvl)
 		// Stall detection: if matching barely shrank the graph (e.g.
 		// star graphs or mostly-negative edges), further rounds waste
 		// time without improving the initial partition.

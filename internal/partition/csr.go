@@ -120,7 +120,6 @@ type fmScratch struct {
 	moves    []int32
 	heap     gainHeap
 	deferred gainHeap
-	bounds   []int32 // gain-init chunk boundaries (in-level parallel path)
 }
 
 // grow resizes the vertex-indexed arrays to n, reallocating only when the
@@ -171,7 +170,6 @@ type levelArena struct {
 	keys     []float64
 	results  []tryResult
 	fm       fmScratch
-	il       inLevelScratch
 	rng      *rand.Rand
 }
 
@@ -291,17 +289,6 @@ func growI8(s *[]int8, n int) []int8 {
 func growF(s *[]float64, n int) []float64 {
 	if cap(*s) < n {
 		*s = make([]float64, n, grownCap(n))
-	}
-	*s = (*s)[:n]
-	return *s
-}
-
-// growGainHeap resizes a gain heap to hold n entries for indexed writes
-// (the parallel gain-init path), reallocating only when the pooled
-// capacity is too small. Every entry is overwritten before init runs.
-func growGainHeap(s *gainHeap, n int) gainHeap {
-	if cap(*s) < n {
-		*s = make(gainHeap, n, grownCap(n))
 	}
 	*s = (*s)[:n]
 	return *s

@@ -7,6 +7,7 @@ import (
 
 	"goldilocks/internal/graph"
 	"goldilocks/internal/resources"
+	"goldilocks/internal/workload"
 )
 
 // Determinism regression tests: the partition for a fixed Options.Seed must
@@ -178,6 +179,44 @@ func TestPartitionToFitRepeatedParallelRuns(t *testing.T) {
 		}
 		if err := sameTree(first.Root, again.Root); err != nil {
 			t.Fatalf("run %d diverged: %v", run, err)
+		}
+	}
+}
+
+// TestPartitionToFitLargeGraphParallelismInvariant runs fit-driven
+// recursion on a dedup-heavy 20k social graph under the scheduler's
+// configuration (BalanceEps 0.03, PEE-scaled usable capacity): large enough
+// that FM takes the lock-unmovable policy, with the recursive fan-out and
+// the initial-bisection tries racing for p=8 worker slots. The assertion is
+// p=8 output equal to serial across repeats; under -race the detector
+// additionally checks the arena hand-offs between concurrent subproblems.
+func TestPartitionToFitLargeGraphParallelismInvariant(t *testing.T) {
+	g := workload.TwitterWorkload(20000, 7).Graph()
+	usable := resources.New(3200, 64*1024, 10000).PerDimScale(resources.UtilizationCaps(0.70))
+	opts := DefaultOptions()
+	opts.Seed = 7
+	opts.BalanceEps = 0.03
+	opts.Parallelism = 1
+	base, err := PartitionToFit(g, usable, 1.0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base.Assignment(g.NumVertices())
+	opts.Parallelism = 8
+	for rep := 0; rep < 2; rep++ {
+		tree, err := PartitionToFit(g, usable, 1.0, opts)
+		if err != nil {
+			t.Fatalf("rep %d: %v", rep, err)
+		}
+		got := tree.Assignment(g.NumVertices())
+		diff := 0
+		for v := range want {
+			if got[v] != want[v] {
+				diff++
+			}
+		}
+		if diff != 0 {
+			t.Fatalf("rep %d: %d/%d assignments differ from serial", rep, diff, len(want))
 		}
 	}
 }

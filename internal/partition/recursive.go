@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"goldilocks/internal/graph"
@@ -12,6 +13,23 @@ import (
 // ErrVertexTooLarge is returned when a single container's demand exceeds a
 // server's usable capacity: no amount of partitioning can make it fit.
 var ErrVertexTooLarge = errors.New("partition: single vertex exceeds server capacity")
+
+// ErrInvalidDemand is returned when a container's demand has a NaN,
+// infinite or negative component. Such a demand cannot be checked against
+// capacity (NaN compares false with everything, a negative one offsets its
+// neighbors' demand), so it would otherwise slip through the fit test and
+// overload a server.
+var ErrInvalidDemand = errors.New("partition: vertex demand is not a finite non-negative vector")
+
+// validDemand reports whether every component of w is finite and ≥ 0.
+func validDemand(w resources.Vector) bool {
+	for _, x := range w {
+		if !(x >= 0) || math.IsInf(x, 1) { // !(x >= 0) also catches NaN
+			return false
+		}
+	}
+	return true
+}
 
 // Group is a node of the group tree produced by the recursive fit-driven
 // partitioning of §III-B. Leaves are the container groups that will be
@@ -84,6 +102,9 @@ func PartitionToFit(g *graph.Graph, capacity resources.Vector, targetUtil float6
 		all[v] = v
 		w := g.VertexWeight(v)
 		demand = demand.Add(w)
+		if !validDemand(w) {
+			return nil, fmt.Errorf("%w: vertex %d demands %v", ErrInvalidDemand, v, w)
+		}
 		if !w.Fits(usable) {
 			return nil, fmt.Errorf("%w: vertex %d demands %v but usable capacity is %v",
 				ErrVertexTooLarge, v, w, usable)

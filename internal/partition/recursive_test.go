@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -81,6 +82,38 @@ func TestPartitionToFitVertexTooLarge(t *testing.T) {
 	_, err := PartitionToFit(g, cap, 0.7, DefaultOptions()) // usable CPU = 70 < 100
 	if !errors.Is(err, ErrVertexTooLarge) {
 		t.Fatalf("err = %v, want ErrVertexTooLarge", err)
+	}
+}
+
+// TestPartitionToFitInvalidDemand: a NaN, infinite or negative component
+// must be rejected up front. NaN compares false against capacity and a
+// negative demand offsets its neighbors', so either would otherwise let an
+// over-capacity group through as a single leaf.
+func TestPartitionToFitInvalidDemand(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cpu  float64
+	}{
+		{"nan", math.NaN()},
+		{"+inf", math.Inf(1)},
+		{"-inf", math.Inf(-1)},
+		{"negative", -500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.New(40)
+			for v := 0; v < 40; v++ {
+				g.SetVertexWeight(v, resources.New(100, 1, 1))
+			}
+			for v := 1; v < 40; v++ {
+				g.AddEdge(v-1, v, 1)
+			}
+			g.SetVertexWeight(17, resources.New(tc.cpu, 1, 1))
+			cap := resources.New(1000, 1000, 1000) // usable CPU = 700
+			_, err := PartitionToFit(g, cap, 0.7, DefaultOptions())
+			if !errors.Is(err, ErrInvalidDemand) {
+				t.Fatalf("err = %v, want ErrInvalidDemand", err)
+			}
+		})
 	}
 }
 

@@ -138,6 +138,11 @@ func (h gainHeap) down(i0, n int) {
 	}
 }
 
+// lockUnmovableMinN is the vertex count at which fmRefine switches its
+// unmovable-vertex policy from park-and-re-offer to lock-for-the-pass (see
+// the comment at the switch below).
+const lockUnmovableMinN = 8192
+
 // fmRefine runs Fiduccia–Mattheyses passes on the bisection in sideOf,
 // mutating it in place, and returns the resulting cut weight. frac is side
 // 1's target weight share. Each pass tentatively moves vertices in order of
@@ -148,16 +153,8 @@ func (h gainHeap) down(i0, n int) {
 // caller-owned working memory (arena or try scratch), so refinement
 // allocates nothing once the scratch has grown to the graph's size.
 //
-// lim, when non-nil and the graph is large, fans the per-pass gain
-// initialization out across workers: each vertex's starting gain is an
-// independent row scan, and the heap is materialized as the same length-n
-// array the serial append loop builds (entry v at index v) before the
-// serial h.init() establishes the invariant — so the heap bytes, and
-// therefore every tie-break downstream, are unchanged. The move loop
-// itself stays strictly serial: move order is the algorithm's output.
-//
 //goldilocks:hotpath
-func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, lim Limiter, scr *fmScratch) float64 {
+func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, scr *fmScratch) float64 {
 	n := g.n
 	if n == 0 {
 		return 0
@@ -174,30 +171,20 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 
 	for pass := 0; pass < opts.FMPasses; pass++ {
 		h := scr.heap[:0]
-		if useInLevel(n, lim) {
-			// The chunked init lives in its own function: a closure here
-			// would make every captured local — including h — escape, and
-			// the per-call heap cells would cost an allocation on the
-			// small-graph serial path too (fmRefine runs hundreds of times
-			// per PartitionToFit). Keeping fmRefine closure-free keeps the
-			// steady-state allocs/op at its pre-in-level level.
-			h = gainInitChunked(g, sideOf, gains, stamps, locked, lim, scr)
-		} else {
-			for v := 0; v < n; v++ {
-				locked[v] = false
-				sv := sideOf[v]
-				gain := 0.0
-				for k := xadj[v]; k < xadj[v+1]; k++ {
-					if sideOf[adjn[k]] == sv {
-						gain -= wts[k]
-					} else {
-						gain += wts[k]
-					}
+		for v := 0; v < n; v++ {
+			locked[v] = false
+			sv := sideOf[v]
+			gain := 0.0
+			for k := xadj[v]; k < xadj[v+1]; k++ {
+				if sideOf[adjn[k]] == sv {
+					gain -= wts[k]
+				} else {
+					gain += wts[k]
 				}
-				gains[v] = gain
-				stamps[v]++
-				h = append(h, gainItem{v: int32(v), gain: gain, stamp: stamps[v]})
 			}
+			gains[v] = gain
+			stamps[v]++
+			h = append(h, gainItem{v: int32(v), gain: gain, stamp: stamps[v]})
 		}
 		h.init()
 
@@ -219,7 +206,7 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 		// therefore output — only above the threshold, where no legacy
 		// bytes exist; either policy is a pure function of (graph, seed),
 		// so parallelism invariance is untouched.
-		lockUnmovable := n >= inLevelMinN
+		lockUnmovable := n >= lockUnmovableMinN
 
 		for len(h) > 0 {
 			it := h.pop()

@@ -2,11 +2,11 @@ package partition
 
 // Topology-sharded partitioning (DESIGN.md §5.1.10). The flat pipeline's
 // wall at data-center scale is the serial FM move loop of the top-level
-// bisections: in-level parallelism (inlevel.go) spreads matching,
-// contraction and gain-init across workers, but the move loop's gain heap
-// is inherently sequential, and critical-path attribution (PR 9) shows it
-// dominating epoch time beyond ~10⁵ containers. Sharding bounds each
-// partitioner instance's n instead of parallelizing inside it:
+// bisections: its gain heap is inherently sequential, and a CPU profile of
+// a 10⁵-container power-law graph puts the move loop and heap at ~93% of
+// the time, against ~3.5% for matching, contraction and gain-init combined.
+// Sharding bounds each partitioner instance's n instead of parallelizing
+// inside it:
 //
 //  1. pre-split — recursive cheap bisections cut the container graph into
 //     ShardCount shards. Levels larger than presplitRefineMaxN skip FM
@@ -40,10 +40,11 @@ import (
 
 // ShardAutoMinN is the container-graph size above which the scheduler
 // auto-enables sharding (Options.ShardCount = the topology's pod count).
-// Below it the flat pipeline with in-level parallelism is already fast and
-// its output is pinned by the legacy differential suite; above it the
-// serial FM share of the critical path grows past the point where
-// in-level parallelism can help.
+// Below it the flat pipeline (recursive fan-out plus concurrent
+// initial-bisection tries) is already fast and its output is pinned by the
+// legacy differential suite; above it the serial FM move loop of the
+// top-level bisections dominates the critical path, and only bounding each
+// instance's n shortens it.
 const ShardAutoMinN = 65536
 
 // presplitRefineMaxN caps FM refinement inside pre-split bisections:

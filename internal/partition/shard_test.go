@@ -21,8 +21,8 @@ import (
 //     within usable capacity, inner demand = sum of children.
 
 // shardShapes returns the three large-workload generators at a size above
-// inLevelMinN, so the sharded pre-split, the in-level parallel paths and
-// the per-shard pipelines all engage.
+// lockUnmovableMinN, so the sharded pre-split, the large-graph FM policy
+// and the per-shard pipelines all engage.
 func shardShapes(n int) map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"powerlaw":     workload.PowerLawWorkload(n, 7).Graph(),

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"goldilocks/internal/partition"
@@ -336,6 +337,18 @@ func TestGoldilocksEmptySpec(t *testing.T) {
 	}
 	if len(res.Placement) != 0 {
 		t.Fatal("empty spec must give empty placement")
+	}
+}
+
+// TestGoldilocksRejectsInvalidDemand: a NaN container demand must surface
+// to the caller as partition.ErrInvalidDemand instead of being packed onto
+// a server it overloads.
+func TestGoldilocksRejectsInvalidDemand(t *testing.T) {
+	req := testbedRequest(t, 40)
+	req.Spec.Containers[3].Demand[resources.CPU] = math.NaN()
+	_, err := Goldilocks{}.Place(req)
+	if !errors.Is(err, partition.ErrInvalidDemand) {
+		t.Fatalf("err = %v, want partition.ErrInvalidDemand", err)
 	}
 }
 

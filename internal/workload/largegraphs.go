@@ -2,15 +2,14 @@ package workload
 
 // Large-graph workload generators for the 100k–1M-vertex scaling
 // experiments (EXPERIMENTS.md). The paper's testbed figures top out at a
-// few thousand containers; measuring the partitioner's in-level parallelism
+// few thousand containers; measuring the partitioner's parallel scaling
 // needs container graphs at data-center scale, with the two edge
 // distributions that stress it differently:
 //
 //   - PowerLawWorkload: a preferential-attachment social mesh whose hub
 //     vertices collect thousands of neighbors — the worst case for
-//     per-vertex work balance (hub rows dominate matching scans and
-//     contraction scatter, which is why the in-level chunking balances on
-//     edges, not vertices);
+//     per-vertex work balance (hub rows dominate matching scans,
+//     contraction and FM gain updates);
 //   - MicroserviceWorkload: a tiered service call-graph with bounded
 //     fan-out per service plus a small shared-data-store tier that every
 //     deep service leans on — the near-regular case with a few deliberate
@@ -202,11 +201,10 @@ func MicroserviceWorkload(n int, seed int64) *Spec {
 	return s
 }
 
-// HubWorkload is the adversarial hub-skew case for the in-level identity
-// tests: a handful of hub containers each joined to a large private fan of
-// leaves plus every other hub, so a single adjacency row holds a large
-// fraction of all edges and any per-vertex chunking of matching or
-// contraction is maximally imbalanced.
+// HubWorkload is the adversarial hub-skew case for the sharded-mode
+// determinism tests: a handful of hub containers each joined to a large
+// private fan of leaves plus every other hub, so a single adjacency row
+// holds a large fraction of all edges.
 func HubWorkload(n, hubs int, seed int64) *Spec {
 	rng := rand.New(rand.NewSource(seed))
 	if hubs < 1 {

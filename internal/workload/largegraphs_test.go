@@ -6,7 +6,7 @@ import (
 
 // TestPowerLawWorkloadShape checks the generator's structural promises:
 // deterministic per seed, mean degree near 2·attach, and a heavy-tailed
-// maximum degree (the property the in-level chunking has to survive).
+// maximum degree (the hub rows the partitioner's hot loops must survive).
 func TestPowerLawWorkloadShape(t *testing.T) {
 	n := 20000
 	s := PowerLawWorkload(n, 7)
