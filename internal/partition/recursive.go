@@ -21,6 +21,11 @@ var ErrVertexTooLarge = errors.New("partition: single vertex exceeds server capa
 // overload a server.
 var ErrInvalidDemand = errors.New("partition: vertex demand is not a finite non-negative vector")
 
+// ErrInvalidWeight is returned when an edge weight is NaN or infinite.
+// Negative weights are legal (anti-affinity), but a non-finite one poisons
+// every cut and FM gain it touches, so the result would be garbage.
+var ErrInvalidWeight = errors.New("partition: edge weight is not finite")
+
 // validDemand reports whether every component of w is finite and ≥ 0.
 func validDemand(w resources.Vector) bool {
 	for _, x := range w {
@@ -108,6 +113,11 @@ func PartitionToFit(g *graph.Graph, capacity resources.Vector, targetUtil float6
 		if !w.Fits(usable) {
 			return nil, fmt.Errorf("%w: vertex %d demands %v but usable capacity is %v",
 				ErrVertexTooLarge, v, w, usable)
+		}
+		for _, e := range g.Neighbors(v) {
+			if math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0) {
+				return nil, fmt.Errorf("%w: edge {%d, %d} weighs %v", ErrInvalidWeight, v, e.To, e.Weight)
+			}
 		}
 	}
 

@@ -85,19 +85,26 @@ func TestPartitionToFitVertexTooLarge(t *testing.T) {
 	}
 }
 
-// TestPartitionToFitInvalidDemand: a NaN, infinite or negative component
-// must be rejected up front. NaN compares false against capacity and a
-// negative demand offsets its neighbors', so either would otherwise let an
-// over-capacity group through as a single leaf.
+// TestPartitionToFitInvalidDemand: a NaN, infinite or negative demand
+// component, or a NaN or infinite edge weight, must be rejected up front on
+// both the flat and the sharded path. NaN compares false against capacity
+// and a negative demand offsets its neighbors', so either would otherwise
+// let an over-capacity group through as a single leaf. A non-finite edge
+// weight made the cut NaN or ±Inf (+Inf also added a leaf).
 func TestPartitionToFitInvalidDemand(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cpu  float64
+		cpu  float64 // vertex 17's CPU demand
+		edge float64 // weight of an extra edge {5, 25}; 0 adds none
+		want error
 	}{
-		{"nan", math.NaN()},
-		{"+inf", math.Inf(1)},
-		{"-inf", math.Inf(-1)},
-		{"negative", -500},
+		{"nan", math.NaN(), 0, ErrInvalidDemand},
+		{"+inf", math.Inf(1), 0, ErrInvalidDemand},
+		{"-inf", math.Inf(-1), 0, ErrInvalidDemand},
+		{"negative", -500, 0, ErrInvalidDemand},
+		{"weight-nan", 100, math.NaN(), ErrInvalidWeight},
+		{"weight-+inf", 100, math.Inf(1), ErrInvalidWeight},
+		{"weight--inf", 100, math.Inf(-1), ErrInvalidWeight},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := graph.New(40)
@@ -108,10 +115,17 @@ func TestPartitionToFitInvalidDemand(t *testing.T) {
 				g.AddEdge(v-1, v, 1)
 			}
 			g.SetVertexWeight(17, resources.New(tc.cpu, 1, 1))
+			if tc.edge != 0 {
+				g.AddEdge(5, 25, tc.edge)
+			}
 			cap := resources.New(1000, 1000, 1000) // usable CPU = 700
-			_, err := PartitionToFit(g, cap, 0.7, DefaultOptions())
-			if !errors.Is(err, ErrInvalidDemand) {
-				t.Fatalf("err = %v, want ErrInvalidDemand", err)
+			for _, shards := range []int{0, 4} {
+				opts := DefaultOptions()
+				opts.ShardCount = shards
+				_, err := PartitionToFit(g, cap, 0.7, opts)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("ShardCount %d: err = %v, want %v", shards, err, tc.want)
+				}
 			}
 		})
 	}

@@ -143,15 +143,25 @@ func (h gainHeap) down(i0, n int) {
 // the comment at the switch below).
 const lockUnmovableMinN = 8192
 
+// fmStallLimit bounds each FM pass the way METIS and KaHIP do: once this
+// many tentative moves in a row have failed to improve on the pass's best
+// cut, the pass stops and rolls back to that best prefix. An unbounded
+// pass moves every vertex and then rolls nearly all of those moves back,
+// so the limit cuts a pass to its improving prefix plus at most this many
+// moves. DESIGN.md §5.1.6 has the sweep behind the value.
+const fmStallLimit = 50
+
 // fmRefine runs Fiduccia–Mattheyses passes on the bisection in sideOf,
 // mutating it in place, and returns the resulting cut weight. frac is side
 // 1's target weight share. Each pass tentatively moves vertices in order of
-// decreasing gain (allowing uphill moves), then rolls back to the best
-// prefix. Passes repeat until no pass improves the cut or opts.FMPasses is
-// exhausted. span, when non-nil, receives one event per pass with the
-// resulting cut (the "FM refinement rounds" detail of the trace). scr is
-// caller-owned working memory (arena or try scratch), so refinement
-// allocates nothing once the scratch has grown to the graph's size.
+// decreasing gain (allowing uphill moves) until the heap runs dry or
+// fmStallLimit moves in a row fail to improve the cut, then rolls back to
+// the best prefix. Passes repeat until no pass improves the cut or
+// opts.FMPasses is exhausted. span, when non-nil, receives one event per
+// pass with the resulting cut (the "FM refinement rounds" detail of the
+// trace). scr is caller-owned working memory (arena or try scratch), so
+// refinement allocates nothing once the scratch has grown to the graph's
+// size.
 //
 //goldilocks:hotpath
 func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, scr *fmScratch) float64 {
@@ -197,9 +207,11 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 		// vertex after every applied move. That is the right call on the
 		// small graphs the paper's figures use — nothing is ever locked
 		// out, and the legacy bytes are pinned to it — but it is quadratic
-		// when a large unmovable set coexists with a long move sequence: at
-		// 10⁵ power-law vertices the re-sifting of parked entries is >95%
-		// of total partitioning time. Above the structural size floor an
+		// when a large unmovable set coexists with a long move sequence:
+		// even with passes bounded by fmStallLimit, parking at every n
+		// makes flat 10⁵-vertex power-law partitioning 4.3× slower, so
+		// re-sifting parked entries is ~77% of that run (DESIGN.md
+		// §5.1.6). Above the structural size floor an
 		// unmovable vertex is locked for the rest of the pass instead (the
 		// next pass reconsiders it with fresh gains), keeping each pass at
 		// O((n + m) log n). The policy switch changes move order — and
@@ -237,6 +249,8 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 			if curCut < bestCut-1e-12 {
 				bestCut = curCut
 				bestPrefix = len(moves)
+			} else if len(moves)-bestPrefix >= fmStallLimit {
+				break // stalled: roll back to the best prefix below
 			}
 			// Update unlocked neighbors' gains.
 			for k := xadj[v]; k < xadj[v+1]; k++ {

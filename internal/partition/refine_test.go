@@ -1,0 +1,63 @@
+package partition
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"goldilocks/internal/workload"
+)
+
+// TestFMStallLimit: no FM pass tries more than fmStallLimit moves past its
+// best prefix. Each fmRefine call below runs one pass from the previous
+// call's result, so the pass's kept prefix is exactly the set of vertices
+// whose side changed, and fmScratch.moves holds every tentative move. Both
+// unmovable-vertex policies are covered (n below and above
+// lockUnmovableMinN).
+func TestFMStallLimit(t *testing.T) {
+	for _, n := range []int{2000, lockUnmovableMinN + 2000} {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			c, a := testCSR(workload.PowerLawWorkload(n, 3).Graph())
+			defer putArena(a)
+			rng := rand.New(rand.NewSource(5))
+			side := make([]int8, n)
+			for v, p := range rng.Perm(n) {
+				side[v] = int8(p % 2)
+			}
+			opts := DefaultOptions()
+			opts.FMPasses = 1
+			before := make([]int8, n)
+			stalled := 0
+			for pass := 0; pass < 8; pass++ {
+				copy(before, side)
+				cut := fmRefine(c, side, opts, 0.5, nil, &a.fm)
+				if got := c.cutWeight(side); got != cut {
+					t.Fatalf("pass %d: returned cut %v, sides give %v", pass, cut, got)
+				}
+				moves := a.fm.moves
+				kept := 0
+				for v := range side {
+					if side[v] != before[v] {
+						kept++
+					}
+				}
+				for i, v := range moves {
+					if flipped := side[v] != before[v]; flipped != (i < kept) {
+						t.Fatalf("pass %d: move %d (vertex %d) flipped=%v, but the kept prefix is %d moves", pass, i, v, flipped, kept)
+					}
+				}
+				if tail := len(moves) - kept; tail > fmStallLimit {
+					t.Fatalf("pass %d: %d moves past the best prefix, limit %d", pass, tail, fmStallLimit)
+				} else if tail == fmStallLimit {
+					stalled++
+				}
+				if kept == 0 {
+					break // converged
+				}
+			}
+			if stalled == 0 {
+				t.Fatal("no pass reached the stall limit; the test graph does not exercise it")
+			}
+		})
+	}
+}

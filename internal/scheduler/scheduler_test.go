@@ -352,6 +352,20 @@ func TestGoldilocksRejectsInvalidDemand(t *testing.T) {
 	}
 }
 
+// TestGoldilocksRejectsInvalidWeight: a non-finite flow count must surface
+// to the caller as partition.ErrInvalidWeight instead of a placement
+// computed from a NaN or infinite cut.
+func TestGoldilocksRejectsInvalidWeight(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		req := testbedRequest(t, 40)
+		req.Spec.Flows[3].Count = w
+		_, err := Goldilocks{}.Place(req)
+		if !errors.Is(err, partition.ErrInvalidWeight) {
+			t.Fatalf("flow count %v: err = %v, want partition.ErrInvalidWeight", w, err)
+		}
+	}
+}
+
 func TestPoliciesFailWhenOverloaded(t *testing.T) {
 	// 16 servers × 3200 CPU × cap. 2000 Twitter containers at 33 CPU =
 	// 66000 CPU > any cap × 51200.
