@@ -70,9 +70,8 @@ scaling-bench:
 		-benchtime 1x -count=$(SCALING_COUNT) -timeout 3h . | tee bench_scaling.txt
 
 # Scaling guard: the blocking contract that partition parallelism (the
-# recursive fan-out plus the concurrent initial-bisection tries) actually
-# buys wall-clock. Flat cells: p4 ≥ 1.6x over p1 on
-# any host with ≥ 4 CPUs; hosts with ≥ 8 CPUs must also show p8 ≥ 2.5x.
+# recursive fan-out) actually buys wall-clock. Flat cells: p4 ≥ 1.6x over
+# p1 on any host with ≥ 4 CPUs; hosts with ≥ 8 CPUs must also show p8 ≥ 2.5x.
 # Sharded cells carry higher floors (p4 ≥ 1.8x, p8 ≥ 3.5x): the pre-split
 # runs whole per-shard pipelines concurrently, so the serial FM share that
 # caps the flat pipeline's scaling mostly disappears — if the sharded mode

@@ -249,10 +249,10 @@ func scalingCases(raw string) ([]scalingCase, error) {
 }
 
 // BenchmarkPartitionScaling measures the partitioner's parallel scaling
-// (recursive fan-out, concurrent initial-bisection tries and, in the
-// sharded-* cells, concurrent shards) on data-center-sized container graphs
-// (100k–1M vertices). The sweep is opt-in — building a 10⁶-
-// vertex mesh per cell is too heavy for the default bench run — via
+// (the recursive fan-out and, in the sharded-* cells, concurrent shards) on
+// data-center-sized container graphs (100k–1M vertices). The sweep is
+// opt-in — building a 10⁶-vertex mesh per cell is too heavy for the
+// default bench run — via
 // GOLDILOCKS_SCALING_SIZES, a comma-separated subset of 100k,500k,1m:
 //
 //	GOLDILOCKS_SCALING_SIZES=500k go test -bench PartitionScaling -run '^$' .

@@ -9,7 +9,7 @@ import (
 // ArenaPairAnalyzer enforces the pooled-arena ownership discipline from
 // PR 5: an arena acquired with a get-style call must leave the acquiring
 // scope in exactly one sanctioned way on every path — a put-style release
-// (putArena, putTryScratch), a deferred release, or an explicit ownership
+// (putArena), a deferred release, or an explicit ownership
 // handoff (passed bare to a callee, stored bare into a result slot,
 // returned bare, or captured whole by a closure). A path that reaches a
 // return or the end of the scope with the arena still held leaks a pooled
@@ -65,8 +65,7 @@ func runArenaPair(pass *Pass) error {
 // arenaScopes returns the function-like bodies in body: the body itself
 // plus every function literal inside it. Each literal is its own ownership
 // scope — an arena acquired inside a closure must be resolved inside that
-// closure (the runTry pattern: acquire, store into the result slot, fall
-// out).
+// closure (e.g. acquire, store into a result slot, fall out).
 func arenaScopes(body *ast.BlockStmt) []*ast.BlockStmt {
 	scopes := []*ast.BlockStmt{body}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -168,10 +167,9 @@ func calleeName(call *ast.CallExpr) string {
 }
 
 // arenaShaped reports whether t is (a pointer to) a named type whose name
-// marks it as pooled scratch memory — the levelArena / tryScratch /
-// fmScratch family. The CSR graph views (csrGraph, csrLevel) deliberately
-// do not match: they are borrowed slices into an arena, not the owned
-// arena itself.
+// marks it as pooled scratch memory — the levelArena / fmScratch family.
+// The CSR graph views (csrGraph, csrLevel) deliberately do not match: they
+// are borrowed slices into an arena, not the owned arena itself.
 func arenaShaped(t types.Type) bool {
 	if t == nil {
 		return false
@@ -188,7 +186,7 @@ func arenaShaped(t types.Type) bool {
 }
 
 // releaseShapedName reports whether a callee name is an arena release
-// (putArena, putTryScratch, releaseScratch, ...): a put/release/free verb
+// (putArena, releaseScratch, ...): a put/release/free verb
 // naming arena or scratch memory.
 func releaseShapedName(name string) bool {
 	n := strings.ToLower(name)

@@ -17,9 +17,9 @@ import (
 // spelling) — which is the discipline every Limiter user must follow
 // anyway. The receiver is type-checked: only a release on a Limiter-shaped
 // value (underlying `chan struct{}`) returns a parallelism slot. The CSR
-// core's arena pools expose release-style helpers too (putArena,
-// putTryScratch), but those recycle scratch memory, not worker slots, so a
-// deferred arena release alone does not make a launch pooled. Launches of
+// core's arena pools expose release-style helpers too (putArena), but
+// those recycle scratch memory, not worker slots, so a deferred arena
+// release alone does not make a launch pooled. Launches of
 // named functions, or literals without a deferred slot release, need
 // either routing through the pool or an explicit //lint:ignore boundedgo
 // waiver stating why the goroutine is outside the parallelism budget.

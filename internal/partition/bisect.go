@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"sync"
-
 	"goldilocks/internal/graph"
 	"goldilocks/internal/resources"
 	"goldilocks/internal/telemetry"
@@ -41,7 +39,7 @@ func BisectFraction(g *graph.Graph, opts Options, frac float64) Bisection {
 	}
 	a := getArena(n)
 	sub := a.buildRootCSR(g)
-	cut := bisectCSR(sub, opts, frac, NewLimiter(opts.Parallelism), a)
+	cut := bisectCSR(sub, opts, frac, a)
 	side := make([]int, n)
 	for v := range side {
 		side[v] = int(a.side[v])
@@ -52,12 +50,12 @@ func BisectFraction(g *graph.Graph, opts Options, frac float64) Bisection {
 
 // bisectCSR computes a balanced min-cut bisection of the arena's subproblem
 // graph g, writing the side assignment into a.side (grown to g.n) and
-// returning the cut weight. opts must already be defaulted; lim is the
-// run-wide worker-slot limiter, which here only feeds the concurrent
-// initial-bisection tries (coarsening and refinement are serial).
+// returning the cut weight. opts must already be defaulted. The whole
+// bisection is serial; parallelism lives in the recursive fan-outs that
+// call it.
 //
 //goldilocks:hotpath
-func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelArena) float64 {
+func bisectCSR(g *csrGraph, opts Options, frac float64, a *levelArena) float64 {
 	if frac <= 0 || frac >= 1 {
 		frac = 0.5
 	}
@@ -91,7 +89,7 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, lim Limiter, a *levelAre
 	if nl > 0 {
 		sideOf = growI8(&a.levels[nl-1].side, coarsest.n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	}
-	initialBisection(coarsest, dspan, opts, frac, lim, a, sideOf)
+	initialBisection(coarsest, dspan, opts, frac, a, sideOf)
 	rspan := dspan.Child("refine")
 	rspan.SetInt("level", nl)
 	rspan.SetInt("vertices", coarsest.n)
@@ -137,108 +135,68 @@ func refineGated(g *csrGraph, sideOf []int8, opts Options, frac float64, span *t
 // graph by greedy graph growing, writing the winner into out: grow a region
 // from a seed vertex, always absorbing the frontier vertex with the largest
 // attraction to the region, until the region holds roughly frac of the
-// total weight. The opts.InitialTries seeds run concurrently when worker
-// slots are free — each try owns a pooled tryScratch whose generator is
-// re-seeded from (opts.Seed, try), and the winner is chosen by a
-// fixed-order reduction (lowest cut, earliest try breaking ties), so the
-// result does not depend on completion order. Falls back to a
-// weight-balanced split when growing cannot balance (e.g. all edges
-// negative).
-func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac float64, lim Limiter, a *levelArena, out []int8) {
+// total weight. The opts.InitialTries tries run serially on arena memory,
+// each re-seeding the arena's generator from (opts.Seed, try). out starts
+// as a weight-balanced fallback split, which stands when growing cannot
+// balance (e.g. all edges negative); a try replaces it only on a strictly
+// lower cut, so the earliest try wins ties. A try that leaves a side empty
+// never wins: with all-zero weights growth absorbs every vertex, balance
+// holds vacuously, and its cut of 0 would otherwise beat any real split.
+//
+//goldilocks:hotpath
+func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac float64, a *levelArena, out []int8) {
 	n := g.n
-	total := g.totalVertexWeight()
-	target := total.Scale(frac)
+	target := g.totalVertexWeight().Scale(frac)
 
 	quickOpts := opts
 	quickOpts.FMPasses = 2
 
-	// Try spans are pre-created sequentially (telemetry single-owner
-	// rule); each concurrent try then mutates only its own span.
 	ispan := dspan.Child("initial")
-	var trySpans []*telemetry.Span
-	if ispan.Enabled() {
-		trySpans = make([]*telemetry.Span, opts.InitialTries)
-		for try := range trySpans {
-			trySpans[try] = ispan.Child("try")
-			trySpans[try].SetInt("try", try)
-		}
-	}
-
-	results := a.results[:0]
-	for i := 0; i < opts.InitialTries; i++ {
-		results = append(results, tryResult{})
-	}
-	a.results = results
-
-	runTry := func(try int) {
-		var tspan *telemetry.Span
-		if trySpans != nil {
-			tspan = trySpans[try]
-		}
-		defer tspan.End()
-		scr := getTryScratch()
-		results[try].scr = scr
-		rng := scr.seeded(deriveSeed(opts.Seed, saltInitial, uint64(try)))
-		side := growFromSeed(g, int32(rng.Intn(n)), target, scr)
+	balancedFallback(g, frac, a, out)
+	bestCut := g.cutWeight(out)
+	for try := 0; try < opts.InitialTries; try++ {
+		tspan := ispan.Child("try")
+		tspan.SetInt("try", try)
+		rng := a.seeded(deriveSeed(opts.Seed, saltInitial, uint64(try)))
+		side := growFromSeed(g, int32(rng.Intn(n)), target, a)
 		bal := newBalanceState(g, side, opts.BalanceEps, frac)
 		if !bal.isBalanced() {
 			tspan.SetStr("outcome", "unbalanced")
-			return
+			tspan.End()
+			continue
 		}
-		cut := fmRefine(g, side, quickOpts, frac, nil, &scr.fm)
+		cut := fmRefine(g, side, quickOpts, frac, nil, &a.fm)
 		tspan.SetFloat("cut", cut)
-		results[try].cut, results[try].ok = cut, true
-	}
-
-	var wg sync.WaitGroup
-	for try := 0; try < opts.InitialTries; try++ {
-		// The last try runs inline: the caller would otherwise idle.
-		if try < opts.InitialTries-1 && lim.TryAcquire() {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				defer lim.Release()
-				runTry(t)
-			}(try)
-		} else {
-			runTry(try)
-		}
-	}
-	wg.Wait()
-
-	// Fixed-order reduction, seeded with the always-legal fallback split.
-	balancedFallback(g, frac, a, out)
-	bestCut := g.cutWeight(out)
-	winner := -1
-	for try := range results {
-		if r := &results[try]; r.ok && r.cut < bestCut {
-			bestCut = r.cut
-			winner = try
-		}
-	}
-	if winner >= 0 {
-		copy(out, results[winner].scr.side)
-	}
-	for try := range results {
-		if results[try].scr != nil {
-			putTryScratch(results[try].scr)
-			results[try].scr = nil
+		tspan.End()
+		if cut < bestCut && !oneSided(side) {
+			bestCut = cut
+			copy(out, side)
 		}
 	}
 	ispan.SetFloat("best_cut", bestCut)
 	ispan.End()
 }
 
+// oneSided reports whether every vertex of a bisection lies on one side.
+func oneSided(side []int8) bool {
+	for _, s := range side {
+		if s != side[0] {
+			return false
+		}
+	}
+	return true
+}
+
 // growFromSeed grows side 1 from the seed until its weight reaches the
-// target in some positive dimension, using scr's reused buffers. The
-// returned side slice is scr.side.
+// target in some positive dimension, using the arena's try buffers. The
+// returned side slice is a.trySide.
 //
 //goldilocks:hotpath
-func growFromSeed(g *csrGraph, seed int32, target resources.Vector, scr *tryScratch) []int8 {
+func growFromSeed(g *csrGraph, seed int32, target resources.Vector, a *levelArena) []int8 {
 	n := g.n
-	side := growI8(&scr.side, n)            //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
-	inRegion := growBool(&scr.inRegion, n)  //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
-	attraction := growF(&scr.attraction, n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	side := growI8(&a.trySide, n)         //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	inRegion := growBool(&a.inRegion, n)  //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	attraction := growF(&a.attraction, n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	for i := 0; i < n; i++ {
 		side[i] = 0
 		inRegion[i] = false

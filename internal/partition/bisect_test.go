@@ -124,6 +124,29 @@ func TestBisectRefinementImprovesOverFallback(t *testing.T) {
 	}
 }
 
+// TestBisectZeroWeightsKeepsBothSides: with every vertex weight zero, greedy
+// growth never reaches its zero target and absorbs the whole graph, and
+// balance holds vacuously. Such a try has cut 0, but it is no bisection;
+// it must not beat the fallback split.
+func TestBisectZeroWeightsKeepsBothSides(t *testing.T) {
+	n := 10
+	g := graph.New(n)
+	for v := 0; v < n-1; v++ {
+		g.AddEdge(v, v+1, 1)
+	}
+	b := Bisect(g, DefaultOptions())
+	counts := [2]int{}
+	for _, s := range b.Side {
+		counts[s]++
+	}
+	if counts[0] == 0 || counts[1] == 0 {
+		t.Fatalf("bisection left a side empty: sides %v, cut %v", counts, b.Cut)
+	}
+	if got := g.CutWeight(b.Side); b.Cut != got {
+		t.Fatalf("reported cut %v, sides cut %v", b.Cut, got)
+	}
+}
+
 func TestBisectAntiAffinity(t *testing.T) {
 	// Two replicas with a strongly negative edge inside an otherwise
 	// uniform graph: min-cut should cut the negative edge, i.e. put the

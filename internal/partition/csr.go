@@ -168,9 +168,13 @@ type levelArena struct {
 	remap    []int32
 	order    []int32
 	keys     []float64
-	results  []tryResult
 	fm       fmScratch
 	rng      *rand.Rand
+
+	// Initial-bisection try buffers (greedy graph growing).
+	trySide    []int8
+	inRegion   []bool
+	attraction []float64
 }
 
 // arenaPools is size-classed by the arena's high-water vertex count (log2
@@ -214,43 +218,6 @@ func getArena(n int) *levelArena {
 }
 
 func putArena(a *levelArena) { arenaPools[arenaClass(cap(a.subVW))].Put(a) }
-
-// tryScratch is the working memory of one concurrent initial-bisection try:
-// its own generator (tries fan out across goroutines, so they cannot share
-// the arena's) plus the graph-growing buffers and an FM scratch for the
-// quick refinement. Pooled separately from levelArena because several tries
-// are live at once per arena.
-type tryScratch struct {
-	rng        *rand.Rand
-	side       []int8
-	inRegion   []bool
-	attraction []float64
-	fm         fmScratch
-}
-
-var tryScratchPool = sync.Pool{New: func() interface{} {
-	return &tryScratch{rng: rand.New(rand.NewSource(0))}
-}}
-
-func getTryScratch() *tryScratch  { return tryScratchPool.Get().(*tryScratch) }
-func putTryScratch(s *tryScratch) { tryScratchPool.Put(s) }
-
-// seeded re-seeds the try's generator, yielding the exact stream of a fresh
-// rand.New(rand.NewSource(seed)).
-//
-//goldilocks:hotpath
-func (s *tryScratch) seeded(seed int64) *rand.Rand {
-	s.rng.Seed(seed)
-	return s.rng
-}
-
-// tryResult is one slot of the initial-bisection fixed-order reduction. The
-// winning try's side lives in scr.side until the reduction copies it out.
-type tryResult struct {
-	scr *tryScratch
-	cut float64
-	ok  bool
-}
 
 // seeded re-seeds the arena's generator, yielding the exact stream of a
 // fresh rand.New(rand.NewSource(seed)) without reallocating the 607-word

@@ -131,6 +131,10 @@ func TestPartitionToFitParallelismInvariant(t *testing.T) {
 	}
 }
 
+// TestBisectParallelismInvariant pins Bisect to one answer whatever
+// Parallelism says. Bisection is serial, so today this holds by
+// construction; the test stays as the guard that any concurrency added
+// inside a bisection keeps its result schedule-invariant.
 func TestBisectParallelismInvariant(t *testing.T) {
 	for name, build := range detShapes() {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -186,10 +190,11 @@ func TestPartitionToFitRepeatedParallelRuns(t *testing.T) {
 // TestPartitionToFitLargeGraphParallelismInvariant runs fit-driven
 // recursion on a dedup-heavy 20k social graph under the scheduler's
 // configuration (BalanceEps 0.03, PEE-scaled usable capacity): large enough
-// that FM takes the lock-unmovable policy, with the recursive fan-out and
-// the initial-bisection tries racing for p=8 worker slots. The assertion is
-// p=8 output equal to serial across repeats; under -race the detector
-// additionally checks the arena hand-offs between concurrent subproblems.
+// that FM takes the lock-unmovable policy, with the recursive fan-out
+// racing for p=8 worker slots (each bisection itself is serial). The
+// assertion is p=8 output equal to serial across repeats; under -race the
+// detector additionally checks the arena hand-offs between concurrent
+// subproblems.
 func TestPartitionToFitLargeGraphParallelismInvariant(t *testing.T) {
 	g := workload.TwitterWorkload(20000, 7).Graph()
 	usable := resources.New(3200, 64*1024, 10000).PerDimScale(resources.UtilizationCaps(0.70))

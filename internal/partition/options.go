@@ -36,8 +36,9 @@ type Options struct {
 	// partitions are reproducible.
 	Seed int64
 	// Parallelism bounds the number of concurrent workers used for the
-	// recursive bisection fan-out and the initial-bisection seed tries.
-	// The output is identical at every parallelism level for a fixed
+	// recursive fan-out of PartitionToFit (the split recursion and, when
+	// sharding, the shard pre-split); each bisection itself is serial, so
+	// Bisect and BisectFraction do not read it. The output is identical at every parallelism level for a fixed
 	// Seed (every subproblem derives its own RNG from structural
 	// coordinates — see parallel.go). Values ≤ 0 mean
 	// runtime.GOMAXPROCS(0); 1 forces a strictly serial run.

@@ -14,6 +14,8 @@ package partition
 // result equals the serial one. The experiment drivers rely on this to
 // reproduce the paper's figures regardless of the host's core count.
 
+import "sync"
+
 // Salts separating the seed-derivation domains, so e.g. coarsening level 3
 // and initial-bisection try 3 never collide.
 const (
@@ -55,9 +57,10 @@ func splitmix64(x uint64) uint64 {
 // deadlock however deep it nests.
 //
 // Limiter is the only sanctioned way to launch goroutines in the
-// deterministic packages: the boundedgo analyzer (internal/lint) flags any
-// `go` statement whose goroutine does not release a Limiter slot, so every
-// concurrent region stays within the Options.Parallelism budget.
+// deterministic packages, and callers fork through Join: the boundedgo
+// analyzer (internal/lint) flags any `go` statement whose goroutine does
+// not release a Limiter slot, so every concurrent region stays within the
+// Options.Parallelism budget.
 type Limiter chan struct{}
 
 // NewLimiter sizes a pool for the given parallelism level; levels ≤ 1
@@ -85,3 +88,33 @@ func (l Limiter) TryAcquire() bool {
 
 // Release returns a slot taken by TryAcquire to the pool.
 func (l Limiter) Release() { <-l }
+
+// Join is the fork-join every recursive fan-out uses: it runs right on a
+// spare worker slot when TryAcquire grants one, and otherwise runs left,
+// then right, inline. left always runs on the calling goroutine. left's
+// error wins over right's; serially, right does not run once left fails.
+// Join is the only goroutine launch site in the deterministic packages.
+func (l Limiter) Join(left, right func() error) error {
+	if !l.TryAcquire() {
+		if err := left(); err != nil {
+			return err
+		}
+		return right()
+	}
+	var (
+		rightErr error
+		wg       sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer l.Release()
+		rightErr = right()
+	}()
+	err := left()
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	return rightErr
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"goldilocks/internal/graph"
 	"goldilocks/internal/resources"
@@ -216,7 +215,7 @@ func splitToFit(sub *csrGraph, vertices []int, demand, usable resources.Vector, 
 		trySpan.SetInt("try", try)
 		trySpan.SetFloat("eps", subOpts.BalanceEps)
 		subOpts.Trace = trySpan
-		cut := bisectCSR(sub, subOpts, frac, lim, a)
+		cut := bisectCSR(sub, subOpts, frac, a)
 		var ld, rd resources.Vector
 		for sv := 0; sv < n; sv++ {
 			if a.side[sv] == 0 {
@@ -238,43 +237,7 @@ func splitToFit(sub *csrGraph, vertices []int, demand, usable resources.Vector, 
 		}
 	}
 
-	nLeft := 0
-	for sv := 0; sv < n; sv++ {
-		if bestSide[sv] == 0 {
-			nLeft++
-		}
-	}
-	var leftV, rightV []int
-	var leftD, rightD resources.Vector
-	if nLeft == 0 || nLeft == n {
-		// Defensive: bisection should never empty a side for n >= 2,
-		// but a hard index split always makes progress. Local ids are
-		// ascending in original ids, so the index split agrees between
-		// vertices and bestSide.
-		mid := len(vertices) / 2
-		leftV, rightV = vertices[:mid], vertices[mid:]
-		for sv := 0; sv < mid; sv++ {
-			bestSide[sv] = 0
-			leftD = leftD.Add(sub.vw[sv])
-		}
-		for sv := mid; sv < n; sv++ {
-			bestSide[sv] = 1
-			rightD = rightD.Add(sub.vw[sv])
-		}
-	} else {
-		leftV = make([]int, 0, nLeft)
-		rightV = make([]int, 0, n-nLeft)
-		for sv := 0; sv < n; sv++ {
-			ov := int(sub.toOrig[sv])
-			if bestSide[sv] == 0 {
-				leftV = append(leftV, ov)
-				leftD = leftD.Add(sub.vw[sv])
-			} else {
-				rightV = append(rightV, ov)
-				rightD = rightD.Add(sub.vw[sv])
-			}
-		}
-	}
+	leftV, rightV, leftD, rightD := splitBySide(sub, bestSide, vertices)
 
 	// Extract the right child into a fresh arena first (the parent CSR must
 	// survive both extractions), then compact the left child *in place* into
@@ -296,43 +259,63 @@ func splitToFit(sub *csrGraph, vertices []int, demand, usable resources.Vector, 
 	// worker slot when one is free. Child seeds depend only on structure,
 	// so the tree is identical however the recursion is scheduled. Child
 	// spans are created here, sequentially, before any fork: the right
-	// goroutine only ever touches its own span.
+	// branch only ever touches its own span.
 	leftOpts, rightOpts := opts, opts
 	leftOpts.Trace = span.Child("split")
 	rightOpts.Trace = span.Child("split")
-	var err error
-	if lim.TryAcquire() {
-		var (
-			rightGrp *Group
-			rightErr error
-			wg       sync.WaitGroup
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer lim.Release()
-			rightGrp, rightErr = splitToFit(rightSub, rightV, rightD, usable, depth+1, rightOpts, lim, ra)
-		}()
+	err := lim.Join(func() (err error) {
 		grp.Left, err = splitToFit(leftSub, leftV, leftD, usable, depth+1, leftOpts, lim, la)
-		wg.Wait()
-		if err != nil {
-			return nil, err
-		}
-		if rightErr != nil {
-			return nil, rightErr
-		}
-		grp.Right = rightGrp
-		return grp, nil
-	}
-	grp.Left, err = splitToFit(leftSub, leftV, leftD, usable, depth+1, leftOpts, lim, la)
-	if err != nil {
-		return nil, err
-	}
-	grp.Right, err = splitToFit(rightSub, rightV, rightD, usable, depth+1, rightOpts, lim, ra)
+		return err
+	}, func() (err error) {
+		grp.Right, err = splitToFit(rightSub, rightV, rightD, usable, depth+1, rightOpts, lim, ra)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
 	return grp, nil
+}
+
+// splitBySide partitions a subproblem's vertices and demand by side: side 0
+// feeds the left child, side 1 the right, both in ascending local (and
+// therefore original) id order. Bisection should never empty a side for
+// n >= 2, but if one does, a hard index split — written back into side —
+// still makes progress; local ids ascend in original ids, so the index
+// split agrees between vertices and side.
+func splitBySide(sub *csrGraph, side []int8, vertices []int) (leftV, rightV []int, leftD, rightD resources.Vector) {
+	n := sub.n
+	nLeft := 0
+	for sv := 0; sv < n; sv++ {
+		if side[sv] == 0 {
+			nLeft++
+		}
+	}
+	if nLeft == 0 || nLeft == n {
+		mid := len(vertices) / 2
+		leftV, rightV = vertices[:mid], vertices[mid:]
+		for sv := 0; sv < mid; sv++ {
+			side[sv] = 0
+			leftD = leftD.Add(sub.vw[sv])
+		}
+		for sv := mid; sv < n; sv++ {
+			side[sv] = 1
+			rightD = rightD.Add(sub.vw[sv])
+		}
+		return leftV, rightV, leftD, rightD
+	}
+	leftV = make([]int, 0, nLeft)
+	rightV = make([]int, 0, n-nLeft)
+	for sv := 0; sv < n; sv++ {
+		ov := int(sub.toOrig[sv])
+		if side[sv] == 0 {
+			leftV = append(leftV, ov)
+			leftD = leftD.Add(sub.vw[sv])
+		} else {
+			rightV = append(rightV, ov)
+			rightD = rightD.Add(sub.vw[sv])
+		}
+	}
+	return leftV, rightV, leftD, rightD
 }
 
 // serversNeeded returns the lower bound on servers for a demand: the

@@ -31,7 +31,6 @@ package partition
 
 import (
 	"fmt"
-	"sync"
 
 	"goldilocks/internal/graph"
 	"goldilocks/internal/resources"
@@ -40,11 +39,10 @@ import (
 
 // ShardAutoMinN is the container-graph size above which the scheduler
 // auto-enables sharding (Options.ShardCount = the topology's pod count).
-// Below it the flat pipeline (recursive fan-out plus concurrent
-// initial-bisection tries) is already fast and its output is pinned by the
-// legacy differential suite; above it the serial FM move loop of the
-// top-level bisections dominates the critical path, and only bounding each
-// instance's n shortens it.
+// Below it the flat pipeline (recursive fan-out over serial bisections) is
+// already fast and its output is pinned by the legacy differential suite;
+// above it the serial FM move loop of the top-level bisections dominates
+// the critical path, and only bounding each instance's n shortens it.
 const ShardAutoMinN = 65536
 
 // presplitRefineMaxN caps FM refinement inside pre-split bisections:
@@ -146,47 +144,12 @@ func (st *shardState) shardSplit(sub *csrGraph, vertices []int, demand resources
 	bOpts.presplitRefineCap = presplitRefineMaxN
 	bspan := span.Child("bisect")
 	bOpts.Trace = bspan
-	cut := bisectCSR(sub, bOpts, frac, lim, a)
+	cut := bisectCSR(sub, bOpts, frac, a)
 	bspan.SetFloat("cut", cut)
 	bspan.End()
 
-	n := sub.n
 	side := a.side
-	nLeft := 0
-	for sv := 0; sv < n; sv++ {
-		if side[sv] == 0 {
-			nLeft++
-		}
-	}
-	var leftV, rightV []int
-	var leftD, rightD resources.Vector
-	if nLeft == 0 || nLeft == n {
-		// Defensive index split, as in splitToFit: local ids ascend in
-		// original ids, so the index split agrees between vertices and side.
-		mid := len(vertices) / 2
-		leftV, rightV = vertices[:mid], vertices[mid:]
-		for sv := 0; sv < mid; sv++ {
-			side[sv] = 0
-			leftD = leftD.Add(sub.vw[sv])
-		}
-		for sv := mid; sv < n; sv++ {
-			side[sv] = 1
-			rightD = rightD.Add(sub.vw[sv])
-		}
-	} else {
-		leftV = make([]int, 0, nLeft)
-		rightV = make([]int, 0, n-nLeft)
-		for sv := 0; sv < n; sv++ {
-			ov := int(sub.toOrig[sv])
-			if side[sv] == 0 {
-				leftV = append(leftV, ov)
-				leftD = leftD.Add(sub.vw[sv])
-			} else {
-				rightV = append(rightV, ov)
-				rightD = rightD.Add(sub.vw[sv])
-			}
-		}
-	}
+	leftV, rightV, leftD, rightD := splitBySide(sub, side, vertices)
 
 	ra := getArena(len(rightV))
 	rightSub := extractChild(sub, side, 1, a, ra)
@@ -194,41 +157,19 @@ func (st *shardState) shardSplit(sub *csrGraph, vertices []int, demand resources
 	leftSub := extractChild(sub, side, 0, a, a)
 
 	// Child spans are created here, sequentially, before any fork (the
-	// telemetry single-owner rule); the right branch runs on a spare
+	// telemetry single-owner rule); Join runs the right branch on a spare
 	// worker slot when one is free, exactly like splitToFit's fan-out.
 	leftOpts, rightOpts := opts, opts
 	leftOpts.Trace = span.Child(shardChildName(kl, base))
 	rightOpts.Trace = span.Child(shardChildName(kr, base+kl))
 	grp := &Group{Vertices: vertices, Demand: demand, Depth: depth}
-	var err error
-	if lim.TryAcquire() {
-		var (
-			rightGrp *Group
-			rightErr error
-			wg       sync.WaitGroup
-		)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer lim.Release()
-			rightGrp, rightErr = st.shardSplit(rightSub, rightV, rightD, kr, base+kl, depth+1, rightOpts, lim, ra)
-		}()
+	err := lim.Join(func() (err error) {
 		grp.Left, err = st.shardSplit(leftSub, leftV, leftD, kl, base, depth+1, leftOpts, lim, la)
-		wg.Wait()
-		if err != nil {
-			return nil, err
-		}
-		if rightErr != nil {
-			return nil, rightErr
-		}
-		grp.Right = rightGrp
-		return grp, nil
-	}
-	grp.Left, err = st.shardSplit(leftSub, leftV, leftD, kl, base, depth+1, leftOpts, lim, la)
-	if err != nil {
-		return nil, err
-	}
-	grp.Right, err = st.shardSplit(rightSub, rightV, rightD, kr, base+kl, depth+1, rightOpts, lim, ra)
+		return err
+	}, func() (err error) {
+		grp.Right, err = st.shardSplit(rightSub, rightV, rightD, kr, base+kl, depth+1, rightOpts, lim, ra)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"goldilocks/internal/graph"
 	"goldilocks/internal/partition"
@@ -95,20 +94,14 @@ func discover(g *graph.Graph, vertices []int, targetSize int, opts partition.Opt
 		return [][]int{append([]int(nil), vertices...)}
 	}
 	var leftOut, rightOut [][]int
-	if lim.TryAcquire() {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer lim.Release()
-			rightOut = discover(g, right, targetSize, opts, lim)
-		}()
+	// Neither branch can fail, so Join's error is always nil.
+	_ = lim.Join(func() error {
 		leftOut = discover(g, left, targetSize, opts, lim)
-		wg.Wait()
-	} else {
-		leftOut = discover(g, left, targetSize, opts, lim)
+		return nil
+	}, func() error {
 		rightOut = discover(g, right, targetSize, opts, lim)
-	}
+		return nil
+	})
 	return append(leftOut, rightOut...)
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -116,5 +117,37 @@ func TestDiscoverSubstructuresUniform(t *testing.T) {
 	groups := DiscoverSubstructures(g, 1, partition.DefaultOptions())
 	if len(groups) != 1 || len(groups[0]) != 4 {
 		t.Fatalf("uniform rack split into %v", groups)
+	}
+}
+
+// TestDiscoverSubstructuresParallelismInvariant: the discovery recursion
+// forks sibling subproblems through partition.Limiter.Join, so the groups
+// — contents and left-most order — must not depend on Parallelism.
+func TestDiscoverSubstructuresParallelismInvariant(t *testing.T) {
+	tp, err := NewFatTree(8, power.Wedge, power.Wedge, power.Wedge, Config{
+		ServerCapacity: resources.New(2400, 65536, 1000),
+		ServerModel:    power.Dell2018,
+		ServerLinkMbps: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tp.CapacityGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []int{1, 4, 16} {
+		opts := partition.DefaultOptions()
+		opts.Parallelism = 1
+		serial := DiscoverSubstructures(g, target, opts)
+		opts.Parallelism = 8
+		for rep := 0; rep < 3; rep++ {
+			if got := DiscoverSubstructures(g, target, opts); !reflect.DeepEqual(got, serial) {
+				t.Fatalf("target %d, rep %d: p8 groups %v differ from serial %v", target, rep, got, serial)
+			}
+		}
+		if len(serial) < 2 {
+			t.Fatalf("target %d: discovery did not split the %d-server fat tree: %v", target, g.NumVertices(), serial)
+		}
 	}
 }
