@@ -135,9 +135,10 @@ func refineGated(g *csrGraph, sideOf []int8, opts Options, frac float64, span *t
 // graph by greedy graph growing, writing the winner into out: grow a region
 // from a seed vertex, always absorbing the frontier vertex with the largest
 // attraction to the region, until the region holds roughly frac of the
-// total weight. The opts.InitialTries tries run serially on arena memory,
-// each re-seeding the arena's generator from (opts.Seed, try). out starts
-// as a weight-balanced fallback split, which stands when growing cannot
+// total weight. The opts.InitialTries tries run serially on arena memory;
+// each picks its seed vertex with the first Intn draw of a generator seeded
+// from (opts.Seed, try), computed directly by firstIntn. out starts as a
+// weight-balanced fallback split, which stands when growing cannot
 // balance (e.g. all edges negative); a try replaces it only on a strictly
 // lower cut, so the earliest try wins ties. A try that leaves a side empty
 // never wins: with all-zero weights growth absorbs every vertex, balance
@@ -157,8 +158,8 @@ func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac flo
 	for try := 0; try < opts.InitialTries; try++ {
 		tspan := ispan.Child("try")
 		tspan.SetInt("try", try)
-		rng := a.seeded(deriveSeed(opts.Seed, saltInitial, uint64(try)))
-		side := growFromSeed(g, int32(rng.Intn(n)), target, a)
+		seedVertex := a.firstIntn(deriveSeed(opts.Seed, saltInitial, uint64(try)), n)
+		side := growFromSeed(g, int32(seedVertex), target, a)
 		bal := newBalanceState(g, side, opts.BalanceEps, frac)
 		if !bal.isBalanced() {
 			tspan.SetStr("outcome", "unbalanced")

@@ -429,6 +429,68 @@ func TestContractAccumulatesEdges(t *testing.T) {
 	}
 }
 
+// TestFirstIntnMatchesMathRand is the exactness oracle for firstIntn: for
+// every seed and bound it must return what a freshly seeded math/rand
+// generator's first Intn returns. The seeds cover 20k random int64s plus the
+// normalization edges (0, multiples of 2³¹−1, the extremes, and the
+// substitute seed itself); the bounds cover powers of two (the masked path),
+// small and graph-sized bounds, and 2³⁰+1, where about half of all first
+// draws are rejected, so the re-seed fallback is checked too.
+func TestFirstIntnMatchesMathRand(t *testing.T) {
+	a := getArena(0)
+	defer putArena(a)
+	bounds := []int{1, 2, 64, 1 << 20, 1 << 30, 3, 7, 48, 170, 1000, 1<<30 + 1, 1<<31 - 1}
+	seeds := []int64{0, 1, -1, lehmerMod, -lehmerMod, 2 * lehmerMod, lehmerZeroSeed,
+		math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	gen := rand.New(rand.NewSource(18))
+	for i := 0; i < 20000; i++ {
+		seeds = append(seeds, int64(gen.Uint64()))
+	}
+	// ref.Seed(s) yields the stream of rand.New(rand.NewSource(s)) without
+	// allocating a new 607-word state per check.
+	ref := rand.New(rand.NewSource(0))
+	rejected := 0
+	for _, s := range seeds {
+		ref.Seed(s)
+		first := ref.Int31()
+		for _, n := range bounds {
+			ref.Seed(s)
+			want := ref.Intn(n)
+			if got := a.firstIntn(s, n); got != want {
+				t.Fatalf("firstIntn(%d, %d) = %d, want %d", s, n, got, want)
+			}
+			if n&(n-1) != 0 && first > int32(1<<31-1-(1<<31)%uint32(n)) {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no (seed, n) pair had its first draw rejected; the fallback went unchecked")
+	}
+	t.Logf("%d seeds × %d bounds; %d checks took the rejection fallback", len(seeds), len(bounds), rejected)
+}
+
+// firstIntnSink keeps BenchmarkFirstIntn's draws live.
+var firstIntnSink int
+
+// BenchmarkFirstIntn compares one initial-bisection seed-vertex draw made
+// by re-seeding the generator against the direct computation.
+func BenchmarkFirstIntn(b *testing.B) {
+	a := getArena(0)
+	defer putArena(a)
+	const n = 48
+	b.Run("reseed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			firstIntnSink = a.seeded(int64(i)).Intn(n)
+		}
+	})
+	b.Run("direct", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			firstIntnSink = a.firstIntn(int64(i), n)
+		}
+	})
+}
+
 func BenchmarkBisect1000(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	n := 1000

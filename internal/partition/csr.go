@@ -22,9 +22,11 @@ package partition
 //     order, and contraction/extraction reproduce the legacy first-seen
 //     append order, so all floating-point accumulations (gains, cuts,
 //     attraction) sum in the same order;
-//  2. random draws — the arena re-seeds one math/rand generator with the
+//  2. random draws — coarsening re-seeds one math/rand generator with the
 //     same derived seeds and replays rand.Perm's exact draw sequence into a
-//     reused buffer, so visit orders are unchanged;
+//     reused buffer, so visit orders are unchanged; an initial-bisection
+//     try needs only a generator's first Intn, which firstIntn computes
+//     directly from the seed, so seed vertices are unchanged too;
 //  3. tie-breaking — the typed gain heap replicates container/heap's
 //     sift-up/sift-down comparison sequence verbatim, so equal-gain vertices
 //     pop in the same order as before.
@@ -221,12 +223,74 @@ func putArena(a *levelArena) { arenaPools[arenaClass(cap(a.subVW))].Put(a) }
 
 // seeded re-seeds the arena's generator, yielding the exact stream of a
 // fresh rand.New(rand.NewSource(seed)) without reallocating the 607-word
-// generator state.
+// generator state. Only coarsening calls it, since each level draws a
+// whole permutation; an initial-bisection try needs one draw and uses
+// firstIntn instead.
 //
 //goldilocks:hotpath
 func (a *levelArena) seeded(seed int64) *rand.Rand {
 	a.rng.Seed(seed)
 	return a.rng
+}
+
+// Constants of math/rand's generator (math/rand/rng.go), frozen by the Go 1
+// compatibility promise. Seeding runs the Lehmer recurrence
+// x_{k+1} = 48271·x_k mod (2³¹−1) from the normalized seed x_0 and sets
+// state word i to x_{21+3i}<<40 ^ x_{22+3i}<<20 ^ x_{23+3i} ^ rngCooked[i].
+// The first draw is word 333 + word 606, so it needs x_k only for
+// k = 1020…1022 and 1839…1841, each x_0·48271^k mod (2³¹−1).
+const (
+	lehmerMod      = 1<<31 - 1
+	lehmerZeroSeed = 89482311 // what Seed uses in place of a seed ≡ 0
+)
+
+var (
+	// firstDrawPow[w][j] is 48271^(21+3i+j) mod (2³¹−1) for word i = 333
+	// (w = 0) and i = 606 (w = 1).
+	firstDrawPow = [2][3]uint64{
+		{2082024995, 1341337692, 1079773482},
+		{933195560, 665897288, 2140244399},
+	}
+	// firstDrawCooked holds rngCooked[333] and rngCooked[606].
+	firstDrawCooked = [2]int64{-4633371852008891965, 4152330101494654406}
+)
+
+// firstIntn returns exactly rand.New(rand.NewSource(seed)).Intn(n) without
+// building the generator's state: it computes the two state words the first
+// draw reads (see firstDrawPow) in a handful of multiplications instead of
+// the 1,841 recurrence steps of a full re-seed. When Int31n would reject
+// the first draw and draw again (probability < n/2³¹), or n is outside
+// Int31n's range, it falls back to a real re-seed, so the result is always
+// the library's.
+//
+//goldilocks:hotpath
+func (a *levelArena) firstIntn(seed int64, n int) int {
+	if n > 0 && n <= lehmerMod {
+		x0 := seed % lehmerMod
+		if x0 < 0 {
+			x0 += lehmerMod
+		}
+		if x0 == 0 {
+			x0 = lehmerZeroSeed
+		}
+		var draw int64
+		for w := range firstDrawPow {
+			p := &firstDrawPow[w]
+			x1 := int64(uint64(x0) * p[0] % lehmerMod)
+			x2 := int64(uint64(x0) * p[1] % lehmerMod)
+			x3 := int64(uint64(x0) * p[2] % lehmerMod)
+			draw += x1<<40 ^ x2<<20 ^ x3 ^ firstDrawCooked[w]
+		}
+		v := int32((draw & (1<<63 - 1)) >> 32) // Int31
+		n32 := int32(n)
+		if n32&(n32-1) == 0 {
+			return int(v & (n32 - 1))
+		}
+		if v <= int32(lehmerMod-(1<<31)%uint32(n32)) {
+			return int(v % n32)
+		}
+	}
+	return a.seeded(seed).Intn(n)
 }
 
 func growI32(s *[]int32, n int) []int32 {
