@@ -100,12 +100,14 @@ type (
 	EpochInput = cluster.EpochInput
 	// EpochReport is one epoch's measured outcome.
 	EpochReport = cluster.EpochReport
-	// PartitionOptions tunes the multilevel graph partitioner, including
-	// its worker count (Parallelism, default GOMAXPROCS): partitioning
-	// fans the independent subproblems of the recursive bisection across
-	// a bounded pool, and the result for a fixed Seed is identical at
-	// every parallelism level. ShardCount ≥ 2 additionally pre-splits the
-	// graph into topology shards partitioned concurrently and stitched
+	// PartitionOptions tunes the multilevel graph partitioner: its balance
+	// tolerance, seed, tracing, and worker count (Parallelism, default
+	// GOMAXPROCS); the coarsening floor and the FM and initial-try counts
+	// are fixed inside the partitioner. Partitioning fans the independent
+	// subproblems of the recursive bisection across a bounded pool, and
+	// the result for a fixed Seed is identical at every parallelism
+	// level. ShardCount ≥ 2 additionally pre-splits the graph into
+	// topology shards partitioned concurrently and stitched
 	// deterministically; the Goldilocks policy auto-enables it at the pod
 	// count for graphs of at least partition.ShardAutoMinN containers.
 	PartitionOptions = partition.Options
@@ -229,7 +231,7 @@ func DefaultRunnerOptions() RunnerOptions { return cluster.DefaultOptions() }
 // subproblems run on up to opts.Parallelism workers; the tree is
 // deterministic for a fixed opts.Seed regardless of the worker count.
 func PartitionToFit(g *Graph, usableCapacity Vector, opts PartitionOptions) (*PartitionTree, error) {
-	return partition.PartitionToFit(g, usableCapacity, 1.0, opts)
+	return partition.PartitionToFit(g, usableCapacity, opts)
 }
 
 // DefaultPartitionOptions returns the tuning used by the experiments.
@@ -275,7 +277,9 @@ type (
 	MigrationPlan = migrate.Plan
 	// MigrationReport summarizes a simulated plan execution.
 	MigrationReport = migrate.Report
-	// MigrationOptions tunes the checkpoint/transfer model.
+	// MigrationOptions sets how a migration simulation treats stuck
+	// transfers, retries and tracing; the checkpoint/transfer model
+	// itself is fixed.
 	MigrationOptions = migrate.Options
 )
 
@@ -294,8 +298,8 @@ func SimulateMigrations(topo *Topology, plan *MigrationPlan, opts MigrationOptio
 	return migrate.Simulate(topo, plan, opts)
 }
 
-// DefaultMigrationOptions models CRIU checkpoints to local SSD moved with
-// rsync.
+// DefaultMigrationOptions returns the plain migration run: the model
+// always simulates CRIU checkpoints to local SSD moved with rsync.
 func DefaultMigrationOptions() MigrationOptions { return migrate.DefaultOptions() }
 
 // Crash recovery (the journal subsystem): every epoch is journaled as

@@ -37,7 +37,7 @@ func Fig7(seed int64) *Fig7Result {
 	usable := topo.AverageCapacity().PerDimScale(resources.UtilizationCaps(0.70))
 	opts := partition.DefaultOptions()
 	opts.Seed = seed
-	tree, err := partition.PartitionToFit(spec.Graph(), usable, 1.0, opts)
+	tree, err := partition.PartitionToFit(spec.Graph(), usable, opts)
 	if err == nil {
 		for _, leaf := range tree.Leaves {
 			res.TwitterGroups = append(res.TwitterGroups, leaf.Size())

@@ -34,17 +34,23 @@ type Move struct {
 	ImageMB float64
 }
 
-// Options tunes the migration model.
-type Options struct {
-	// DirtyFraction is the share of the image re-copied during the
+// The migration model of the testbed: CRIU single-pass checkpoints to a
+// local SSD, images moved with rsync over a network simulated with
+// netsim.DefaultOptions.
+const (
+	// dirtyFraction is the share of the image re-copied during the
 	// stop-and-copy phase; it determines freeze time. CRIU's single-pass
 	// checkpoint freezes for the whole image (1.0); pre-copy live
-	// migration gets this down to the dirty working set.
-	DirtyFraction float64
-	// DiskMBps is the local checkpoint write/read bandwidth.
-	DiskMBps float64
-	// NetSim configures the transfer simulation.
-	NetSim netsim.Options
+	// migration gets this down to the dirty working set. rsync pre-syncs
+	// the volume, so CRIU re-copies only the hot pages.
+	dirtyFraction = 0.15
+	// diskMBps is the local checkpoint write/read bandwidth.
+	diskMBps = 400
+)
+
+// Options sets how Simulate treats stuck transfers, retries and tracing;
+// the checkpoint and transfer model itself is fixed (see dirtyFraction).
+type Options struct {
 	// TolerateStuck reports transfers that cannot complete (a failed
 	// server or dead link on the path) in Report.StuckMoves instead of
 	// failing the whole simulation. The caller is expected to Replan the
@@ -61,15 +67,9 @@ type Options struct {
 	Trace *telemetry.Span
 }
 
-// DefaultOptions models the testbed: CRIU single-pass checkpoints to a
-// local SSD, images moved with rsync.
-func DefaultOptions() Options {
-	return Options{
-		DirtyFraction: 0.15, // rsync pre-syncs the volume; CRIU re-copies the hot pages
-		DiskMBps:      400,
-		NetSim:        netsim.DefaultOptions(),
-	}
-}
+// DefaultOptions returns the zero Options: stuck transfers fail the
+// simulation, no retries, no tracing.
+func DefaultOptions() Options { return Options{} }
 
 // Plan is a set of moves scheduled into waves. Within one wave no server
 // appears as source or destination of more than one transfer.
@@ -171,12 +171,6 @@ func Schedule(moves []Move) *Plan {
 // Simulate executes the plan's transfers over the topology with the
 // flow-level simulator, wave by wave, and returns the disruption report.
 func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error) {
-	if opts.DiskMBps <= 0 {
-		opts.DiskMBps = DefaultOptions().DiskMBps
-	}
-	if opts.DirtyFraction <= 0 || opts.DirtyFraction > 1 {
-		opts.DirtyFraction = DefaultOptions().DirtyFraction
-	}
 	mspan := opts.Trace.Child("migrate")
 	mspan.SetInt("moves", len(plan.Moves))
 	mspan.SetInt("waves", len(plan.Waves))
@@ -188,7 +182,7 @@ func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error)
 		wspan := mspan.Child("wave")
 		wspan.SetInt("wave", wi)
 		wspan.SetInt("transfers", len(wave))
-		nsOpts := opts.NetSim
+		nsOpts := netsim.DefaultOptions()
 		nsOpts.Trace = wspan
 		sim := netsim.New(topo, nsOpts)
 		ids := make(map[netsim.FlowID]int, len(wave))
@@ -226,9 +220,9 @@ func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error)
 			m := plan.Moves[mi]
 			// Freeze: checkpoint write + dirty-copy share of the
 			// transfer + restore read.
-			diskS := 2 * m.ImageMB / opts.DiskMBps * opts.DirtyFraction
+			diskS := 2 * m.ImageMB / diskMBps * dirtyFraction
 			freeze := time.Duration(diskS*float64(time.Second)) +
-				time.Duration(float64(c.FCT())*opts.DirtyFraction)
+				time.Duration(float64(c.FCT())*dirtyFraction)
 			totalFreeze += freeze
 			if freeze > rep.MaxFreeze {
 				rep.MaxFreeze = freeze

@@ -65,7 +65,7 @@ func shardedTraceJSON(t *testing.T, p int) []byte {
 	opts.Parallelism = p
 	opts.ShardCount = 4
 	opts.Trace = root
-	if _, err := partition.PartitionToFit(g, usable, 1.0, opts); err != nil {
+	if _, err := partition.PartitionToFit(g, usable, opts); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

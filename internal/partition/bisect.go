@@ -20,18 +20,10 @@ type Bisection struct {
 // scheme: coarsen by heavy-edge matching, bisect the coarsest graph with
 // greedy graph growing, then uncoarsen with FM refinement at every level.
 // Graphs with fewer than 2 vertices return a trivial all-zero bisection.
-func Bisect(g *graph.Graph, opts Options) Bisection {
-	return BisectFraction(g, opts, 0.5)
-}
-
-// BisectFraction is Bisect with an explicit target weight share for side 1.
-// frac must be in (0, 1); 0.5 yields an even bisection. K-way partitioning
-// with odd k splits with frac = ceil(k/2)/k so each final part still holds
-// ~1/k of the weight (Eq. 3).
 //
 // The graph is flattened once into a pooled CSR arena; the entire
 // multilevel pipeline then runs on flat arrays (see csr.go).
-func BisectFraction(g *graph.Graph, opts Options, frac float64) Bisection {
+func Bisect(g *graph.Graph, opts Options) Bisection {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
 	if n < 2 {
@@ -39,7 +31,7 @@ func BisectFraction(g *graph.Graph, opts Options, frac float64) Bisection {
 	}
 	a := getArena(n)
 	sub := a.buildRootCSR(g)
-	cut := bisectCSR(sub, opts, frac, a)
+	cut := bisectCSR(sub, opts, 0.5, a)
 	side := make([]int, n)
 	for v := range side {
 		side[v] = int(a.side[v])
@@ -50,9 +42,12 @@ func BisectFraction(g *graph.Graph, opts Options, frac float64) Bisection {
 
 // bisectCSR computes a balanced min-cut bisection of the arena's subproblem
 // graph g, writing the side assignment into a.side (grown to g.n) and
-// returning the cut weight. opts must already be defaulted. The whole
-// bisection is serial; parallelism lives in the recursive fan-outs that
-// call it.
+// returning the cut weight. frac is side 1's target weight share, in
+// (0, 1); other values mean 0.5. Uneven splits keep every final part near
+// its share of the weight (Eq. 3): KWay uses frac = ceil(k/2)/k, the
+// recursive drivers their server-count proportions. opts must already be
+// defaulted. The whole bisection is serial; parallelism lives in the
+// recursive fan-outs that call it.
 //
 //goldilocks:hotpath
 func bisectCSR(g *csrGraph, opts Options, frac float64, a *levelArena) float64 {
@@ -89,7 +84,7 @@ func bisectCSR(g *csrGraph, opts Options, frac float64, a *levelArena) float64 {
 	if nl > 0 {
 		sideOf = growI8(&a.levels[nl-1].side, coarsest.n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
 	}
-	initialBisection(coarsest, dspan, opts, frac, a, sideOf)
+	initialBisection(coarsest, dspan, opts, frac, initialTries, a, sideOf)
 	rspan := dspan.Child("refine")
 	rspan.SetInt("level", nl)
 	rspan.SetInt("vertices", coarsest.n)
@@ -128,16 +123,17 @@ func refineGated(g *csrGraph, sideOf []int8, opts Options, frac float64, span *t
 		span.SetInt("skipped", 1)
 		return g.cutWeight(sideOf)
 	}
-	return fmRefine(g, sideOf, opts, frac, span, &a.fm)
+	return fmRefine(g, sideOf, opts.BalanceEps, frac, fmPasses, span, &a.fm)
 }
 
 // initialBisection produces a balanced starting bisection of a (small)
 // graph by greedy graph growing, writing the winner into out: grow a region
 // from a seed vertex, always absorbing the frontier vertex with the largest
 // attraction to the region, until the region holds roughly frac of the
-// total weight. The opts.InitialTries tries run serially on arena memory;
-// each picks its seed vertex with the first Intn draw of a generator seeded
-// from (opts.Seed, try), computed directly by firstIntn. out starts as a
+// total weight. The tries (bisectCSR runs initialTries) run serially on
+// arena memory; each picks its seed vertex with the first Intn draw of a
+// generator seeded from (opts.Seed, try), computed directly by firstIntn,
+// and gets initialTryFMPasses of FM refinement. out starts as a
 // weight-balanced fallback split, which stands when growing cannot
 // balance (e.g. all edges negative); a try replaces it only on a strictly
 // lower cut, so the earliest try wins ties. A try that leaves a side empty
@@ -145,17 +141,14 @@ func refineGated(g *csrGraph, sideOf []int8, opts Options, frac float64, span *t
 // holds vacuously, and its cut of 0 would otherwise beat any real split.
 //
 //goldilocks:hotpath
-func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac float64, a *levelArena, out []int8) {
+func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac float64, tries int, a *levelArena, out []int8) {
 	n := g.n
 	target := g.totalVertexWeight().Scale(frac)
-
-	quickOpts := opts
-	quickOpts.FMPasses = 2
 
 	ispan := dspan.Child("initial")
 	balancedFallback(g, frac, a, out)
 	bestCut := g.cutWeight(out)
-	for try := 0; try < opts.InitialTries; try++ {
+	for try := 0; try < tries; try++ {
 		tspan := ispan.Child("try")
 		tspan.SetInt("try", try)
 		seedVertex := a.firstIntn(deriveSeed(opts.Seed, saltInitial, uint64(try)), n)
@@ -166,7 +159,7 @@ func initialBisection(g *csrGraph, dspan *telemetry.Span, opts Options, frac flo
 			tspan.End()
 			continue
 		}
-		cut := fmRefine(g, side, quickOpts, frac, nil, &a.fm)
+		cut := fmRefine(g, side, opts.BalanceEps, frac, initialTryFMPasses, nil, &a.fm)
 		tspan.SetFloat("cut", cut)
 		tspan.End()
 		if cut < bestCut && !oneSided(side) {

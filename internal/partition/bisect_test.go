@@ -182,9 +182,11 @@ func TestBisectFractionTargets(t *testing.T) {
 	for v := 0; v < n-1; v++ {
 		g.AddEdge(v, v+1, 1)
 	}
-	b := BisectFraction(g, DefaultOptions(), 1.0/3.0)
+	c, a := testCSR(g)
+	defer putArena(a)
+	bisectCSR(c, DefaultOptions(), 1.0/3.0, a)
 	count1 := 0
-	for _, s := range b.Side {
+	for _, s := range a.side {
 		if s == 1 {
 			count1++
 		}
@@ -198,9 +200,11 @@ func TestBisectFractionTargets(t *testing.T) {
 func TestBisectInvalidFractionFallsBack(t *testing.T) {
 	g := unitGraph(4)
 	g.AddEdge(0, 1, 1)
-	b := BisectFraction(g, DefaultOptions(), -3)
+	c, a := testCSR(g)
+	defer putArena(a)
+	bisectCSR(c, DefaultOptions(), -3, a)
 	counts := [2]int{}
-	for _, s := range b.Side {
+	for _, s := range a.side {
 		counts[s]++
 	}
 	if counts[0] == 0 || counts[1] == 0 {

@@ -133,7 +133,7 @@ func contract(fine *csrGraph, match []int32, a *levelArena, lvl *csrLevel) {
 func coarsen(g *csrGraph, opts Options, a *levelArena) int {
 	nl := 0
 	cur := g
-	for cur.n > opts.CoarsenTo {
+	for cur.n > coarsenTo {
 		rng := a.seeded(deriveSeed(opts.Seed, saltCoarsen, uint64(nl)))
 		match := heavyEdgeMatching(cur, rng, a)
 		lvl := a.level(nl) //lint:ignore allocfree per-level descriptor, one allocation per coarsening level

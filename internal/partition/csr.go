@@ -3,7 +3,7 @@ package partition
 // Flat CSR core of the multilevel partitioner.
 //
 // The public API still speaks *graph.Graph, but PartitionToFit, Bisect and
-// BisectFraction convert the input once into a csrGraph — xadj/adjncy/adjwgt
+// KWay convert the input once into a csrGraph — xadj/adjncy/adjwgt
 // flat arrays plus a contiguous vertex-weight block — and every stage of the
 // multilevel pipeline (matching, contraction, initial bisection, FM
 // refinement, recursive fan-out) then runs on flat arrays owned by a pooled
@@ -361,20 +361,36 @@ func (a *levelArena) growMarker(n int) []int32 {
 }
 
 // buildRootCSR flattens g into the arena's subproblem storage with an
-// identity toOrig map.
+// identity toOrig map, keeping every row in g's adjacency-list order.
 //
 //goldilocks:hotpath
 func (a *levelArena) buildRootCSR(g *graph.Graph) *csrGraph {
-	var c graph.CSR
-	c.XAdj, c.Adj, c.AdjW, c.VWgt = a.subXadj, a.subAdj, a.subW, a.subVW
-	g.AppendCSR(&c)
-	a.subXadj, a.subAdj, a.subW, a.subVW = c.XAdj, c.Adj, c.AdjW, c.VWgt
 	n := g.NumVertices()
-	orig := growI32(&a.subOrig, n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
-	for v := range orig {
+	half := 0
+	for v := 0; v < n; v++ {
+		half += g.Degree(v)
+	}
+	if int64(n) > math.MaxInt32 || int64(half) > math.MaxInt32 {
+		panic(fmt.Sprintf("partition: CSR conversion overflows int32 ids (%d vertices, %d half-edges)", n, half)) //lint:ignore allocfree int32-overflow panic message, unreachable below 2^31 half-edges
+	}
+	xadj := growI32(&a.subXadj, n+1) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	adj := growI32(&a.subAdj, half)  //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	w := growF(&a.subW, half)        //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	vw := growVecs(&a.subVW, n)      //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	orig := growI32(&a.subOrig, n)   //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
+	pos := int32(0)
+	for v := 0; v < n; v++ {
+		xadj[v] = pos
+		for _, e := range g.Neighbors(v) {
+			adj[pos] = int32(e.To)
+			w[pos] = e.Weight
+			pos++
+		}
+		vw[v] = g.VertexWeight(v)
 		orig[v] = int32(v)
 	}
-	a.sub = csrGraph{n: n, xadj: a.subXadj, adj: a.subAdj, w: a.subW, vw: a.subVW, toOrig: orig}
+	xadj[n] = pos
+	a.sub = csrGraph{n: n, xadj: xadj, adj: adj, w: w, vw: vw, toOrig: orig}
 	return &a.sub
 }
 

@@ -105,10 +105,10 @@ func TestPartitionToFitParallelismInvariant(t *testing.T) {
 				opts.Seed = seed
 
 				opts.Parallelism = 1
-				serial, serr := PartitionToFit(build(seed), cap, 0.7, opts)
+				serial, serr := PartitionToFit(build(seed), cap.Scale(0.7), opts)
 
 				opts.Parallelism = 8
-				parallel, perr := PartitionToFit(build(seed), cap, 0.7, opts)
+				parallel, perr := PartitionToFit(build(seed), cap.Scale(0.7), opts)
 
 				if (serr == nil) != (perr == nil) {
 					t.Fatalf("error divergence: serial=%v parallel=%v", serr, perr)
@@ -172,12 +172,12 @@ func TestPartitionToFitRepeatedParallelRuns(t *testing.T) {
 	opts.Seed = 99
 	opts.Parallelism = 8
 
-	first, err := PartitionToFit(build(99), cap, 0.7, opts)
+	first, err := PartitionToFit(build(99), cap.Scale(0.7), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 5; run++ {
-		again, err := PartitionToFit(build(99), cap, 0.7, opts)
+		again, err := PartitionToFit(build(99), cap.Scale(0.7), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,14 +202,14 @@ func TestPartitionToFitLargeGraphParallelismInvariant(t *testing.T) {
 	opts.Seed = 7
 	opts.BalanceEps = 0.03
 	opts.Parallelism = 1
-	base, err := PartitionToFit(g, usable, 1.0, opts)
+	base, err := PartitionToFit(g, usable, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := base.Assignment(g.NumVertices())
 	opts.Parallelism = 8
 	for rep := 0; rep < 2; rep++ {
-		tree, err := PartitionToFit(g, usable, 1.0, opts)
+		tree, err := PartitionToFit(g, usable, opts)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}

@@ -123,7 +123,7 @@ func FuzzPartitionToFit(f *testing.F) {
 		serial := partition.DefaultOptions()
 		serial.Seed = seed
 		serial.Parallelism = 1
-		tree, err := partition.PartitionToFit(g, fuzzCapacity(), fuzzTargetUtil, serial)
+		tree, err := partition.PartitionToFit(g, fuzzCapacity().Scale(fuzzTargetUtil), serial)
 		if err != nil {
 			// Every vertex fits a server by construction, so the split
 			// driver has no legal reason to fail.
@@ -135,7 +135,7 @@ func FuzzPartitionToFit(f *testing.F) {
 
 		parallel := serial
 		parallel.Parallelism = 4
-		ptree, err := partition.PartitionToFit(g, fuzzCapacity(), fuzzTargetUtil, parallel)
+		ptree, err := partition.PartitionToFit(g, fuzzCapacity().Scale(fuzzTargetUtil), parallel)
 		if err != nil {
 			t.Fatalf("parallel PartitionToFit: %v", err)
 		}
@@ -186,7 +186,7 @@ func FuzzPartitionAntiAffinity(f *testing.F) {
 
 		opts := partition.DefaultOptions()
 		opts.Seed = seed
-		tree, err := partition.PartitionToFit(g, fuzzCapacity(), fuzzTargetUtil, opts)
+		tree, err := partition.PartitionToFit(g, fuzzCapacity().Scale(fuzzTargetUtil), opts)
 		if err != nil {
 			t.Fatalf("PartitionToFit on a feasible workload: %v", err)
 		}
@@ -232,7 +232,7 @@ func FuzzShardStitch(f *testing.F) {
 		opts.Seed = seed
 		opts.Parallelism = 1
 		opts.ShardCount = shards
-		tree, err := partition.PartitionToFit(g, fuzzCapacity(), fuzzTargetUtil, opts)
+		tree, err := partition.PartitionToFit(g, fuzzCapacity().Scale(fuzzTargetUtil), opts)
 		if err != nil {
 			t.Fatalf("sharded PartitionToFit on a feasible workload: %v", err)
 		}
@@ -246,7 +246,7 @@ func FuzzShardStitch(f *testing.F) {
 
 		parallel := opts
 		parallel.Parallelism = 4
-		ptree, err := partition.PartitionToFit(g, fuzzCapacity(), fuzzTargetUtil, parallel)
+		ptree, err := partition.PartitionToFit(g, fuzzCapacity().Scale(fuzzTargetUtil), parallel)
 		if err != nil {
 			t.Fatalf("parallel sharded PartitionToFit: %v", err)
 		}

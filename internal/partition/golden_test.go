@@ -90,7 +90,7 @@ func TestPartitionQualityGolden(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			key := fmt.Sprintf("%s %d", c.name, seed)
 			g := c.gen(seed)
-			tree, err := PartitionToFit(g, shardCapacityFor(g, c.groups), 0.7, DefaultOptions())
+			tree, err := PartitionToFit(g, shardCapacityFor(g, c.groups).Scale(0.7), DefaultOptions())
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}

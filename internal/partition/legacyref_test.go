@@ -100,7 +100,7 @@ func legacyContract(g *graph.Graph, match []int) legacyCoarseLevel {
 func legacyCoarsen(g *graph.Graph, opts Options) []legacyCoarseLevel {
 	var levels []legacyCoarseLevel
 	cur := g
-	for cur.NumVertices() > opts.CoarsenTo {
+	for cur.NumVertices() > coarsenTo {
 		rng := rand.New(rand.NewSource(deriveSeed(opts.Seed, saltCoarsen, uint64(len(levels)))))
 		match := legacyHeavyEdgeMatching(cur, rng)
 		lvl := legacyContract(cur, match)
@@ -180,7 +180,7 @@ func (h *legacyGainHeap) Pop() interface{} {
 	return it
 }
 
-func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64) float64 {
+func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64, passes int) float64 {
 	n := g.NumVertices()
 	if n == 0 {
 		return 0
@@ -205,7 +205,7 @@ func legacyFMRefine(g *graph.Graph, sideOf []int, opts Options, frac float64) fl
 		return gain
 	}
 
-	for pass := 0; pass < opts.FMPasses; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		var h legacyGainHeap
 		for v := 0; v < n; v++ {
 			locked[v] = false
@@ -374,23 +374,20 @@ func legacyInitialBisection(g *graph.Graph, opts Options, frac float64) []int {
 	total := g.TotalVertexWeight()
 	target := total.Scale(frac)
 
-	quickOpts := opts
-	quickOpts.FMPasses = 2
-
 	type tryRes struct {
 		side []int
 		cut  float64
 		ok   bool
 	}
-	results := make([]tryRes, opts.InitialTries)
-	for try := 0; try < opts.InitialTries; try++ {
+	results := make([]tryRes, initialTries)
+	for try := 0; try < initialTries; try++ {
 		rng := rand.New(rand.NewSource(deriveSeed(opts.Seed, saltInitial, uint64(try))))
 		side := legacyGrowFromSeed(g, rng.Intn(n), target)
 		bal := newLegacyBalanceState(g, side, opts.BalanceEps, frac)
 		if !bal.isBalanced() {
 			continue
 		}
-		cut := legacyFMRefine(g, side, quickOpts, frac)
+		cut := legacyFMRefine(g, side, opts, frac, initialTryFMPasses)
 		results[try] = tryRes{side: side, cut: cut, ok: true}
 	}
 
@@ -421,7 +418,7 @@ func legacyBisectFraction(g *graph.Graph, opts Options, frac float64) Bisection 
 	}
 
 	side := legacyInitialBisection(coarsest, opts, frac)
-	cut := legacyFMRefine(coarsest, side, opts, frac)
+	cut := legacyFMRefine(coarsest, side, opts, frac, fmPasses)
 
 	for i := len(levels) - 1; i >= 0; i-- {
 		side = legacyProjectSide(levels[i], side)
@@ -429,7 +426,7 @@ func legacyBisectFraction(g *graph.Graph, opts Options, frac float64) Bisection 
 		if i > 0 {
 			fineGraph = levels[i-1].g
 		}
-		cut = legacyFMRefine(fineGraph, side, opts, frac)
+		cut = legacyFMRefine(fineGraph, side, opts, frac, fmPasses)
 	}
 	return Bisection{Side: side, Cut: cut}
 }
@@ -516,12 +513,8 @@ func legacySplitToFit(g *graph.Graph, vertices []int, demand, usable resources.V
 	return grp, nil
 }
 
-func legacyPartitionToFit(g *graph.Graph, capacity resources.Vector, targetUtil float64, opts Options) (*Tree, error) {
+func legacyPartitionToFit(g *graph.Graph, usable resources.Vector, opts Options) (*Tree, error) {
 	opts = opts.withDefaults()
-	if targetUtil <= 0 {
-		return nil, fmt.Errorf("partition: non-positive target utilization %v", targetUtil)
-	}
-	usable := capacity.Scale(targetUtil)
 
 	n := g.NumVertices()
 	all := make([]int, n)
@@ -544,6 +537,65 @@ func legacyPartitionToFit(g *graph.Graph, capacity resources.Vector, targetUtil 
 	collectLeaves(root, &t.Leaves)
 	t.Cut = g.CutWeightK(t.Assignment(n))
 	return t, nil
+}
+
+// legacyKWay is KWay as it was before it ran on the CSR core: every level
+// copies its vertex set out with Subgraph and bisects the copy.
+func legacyKWay(g *graph.Graph, k int, opts Options) ([]int, float64) {
+	n := g.NumVertices()
+	part := make([]int, n)
+	if k == 1 || n == 0 {
+		return part, 0
+	}
+	if k >= n {
+		for v := 0; v < n; v++ {
+			part[v] = v
+		}
+		return part, g.CutWeightK(part)
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	next := 0
+	legacyKWaySplit(g, all, k, opts.withDefaults(), &next, part)
+	return part, g.CutWeightK(part)
+}
+
+func legacyKWaySplit(g *graph.Graph, vertices []int, k int, opts Options, next *int, part []int) {
+	if k == 1 || len(vertices) <= 1 {
+		id := *next
+		*next++
+		for _, v := range vertices {
+			part[v] = id
+		}
+		return
+	}
+	kLeft := k / 2
+	kRight := k - kLeft
+	sub, toOrig := g.Subgraph(vertices)
+	subOpts := opts
+	subOpts.Seed = deriveSeed(opts.Seed, saltKWay, uint64(vertices[0]), uint64(len(vertices)), uint64(k))
+	frac := float64(kRight) / float64(k) // side 1 feeds the right recursion
+	bis := legacyBisectFraction(sub, subOpts, frac)
+
+	var leftV, rightV []int
+	for sv, side := range bis.Side {
+		if side == 0 {
+			leftV = append(leftV, toOrig[sv])
+		} else {
+			rightV = append(rightV, toOrig[sv])
+		}
+	}
+	if len(leftV) == 0 || len(rightV) == 0 {
+		mid := len(vertices) * kLeft / k
+		if mid == 0 {
+			mid = 1
+		}
+		leftV, rightV = vertices[:mid], vertices[mid:]
+	}
+	legacyKWaySplit(g, leftV, kLeft, opts, next, part)
+	legacyKWaySplit(g, rightV, kRight, opts, next, part)
 }
 
 // legacyRefShapes adds randomized shapes beyond detShapes, biased toward the
@@ -622,10 +674,10 @@ func TestPartitionToFitMatchesLegacy(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				opts := DefaultOptions()
 				opts.Seed = seed
-				want, werr := legacyPartitionToFit(build(seed), cap, 0.7, opts)
+				want, werr := legacyPartitionToFit(build(seed), cap.Scale(0.7), opts)
 				for _, p := range []int{1, 8} {
 					opts.Parallelism = p
-					got, gerr := PartitionToFit(build(seed), cap, 0.7, opts)
+					got, gerr := PartitionToFit(build(seed), cap.Scale(0.7), opts)
 					if (werr == nil) != (gerr == nil) {
 						t.Fatalf("p=%d: error divergence: legacy=%v new=%v", p, werr, gerr)
 					}
@@ -640,6 +692,32 @@ func TestPartitionToFitMatchesLegacy(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestKWayMatchesLegacy asserts KWay on the CSR core reproduces the
+// Subgraph-per-level k-way recursion exactly: same parts, same cut.
+func TestKWayMatchesLegacy(t *testing.T) {
+	for name, build := range legacyRefShapes() {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, k := range []int{2, 3, 5, 7, 16} {
+				t.Run(fmt.Sprintf("%s/seed%d/k%d", name, seed, k), func(t *testing.T) {
+					g := build(seed)
+					opts := DefaultOptions()
+					opts.Seed = seed
+					want, wantCut := legacyKWay(g, k, opts)
+					got, gotCut := KWay(g, k, opts)
+					if gotCut != wantCut {
+						t.Fatalf("cut %v, legacy %v", gotCut, wantCut)
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("vertex %d in part %d, legacy %d", v, got[v], want[v])
+						}
+					}
+				})
+			}
 		}
 	}
 }

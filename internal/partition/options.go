@@ -11,37 +11,48 @@
 package partition
 
 import (
+	"math"
 	"runtime"
 
 	"goldilocks/internal/telemetry"
 )
 
+// Fixed tuning of the multilevel bisection. No caller varies these, so they
+// are constants rather than Options fields.
+const (
+	// coarsenTo stops coarsening once the graph has at most this many
+	// vertices.
+	coarsenTo = 48
+	// fmPasses bounds the number of FM refinement passes per level.
+	fmPasses = 8
+	// initialTries is the number of greedy-graph-growing seeds attempted
+	// for the initial bisection of the coarsest graph; the best cut wins.
+	initialTries = 6
+	// initialTryFMPasses bounds the quick FM refinement of each initial
+	// try.
+	initialTryFMPasses = 2
+)
+
 // Options tunes the multilevel bisection. The zero value is not usable;
 // start from DefaultOptions.
 type Options struct {
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// vertices.
-	CoarsenTo int
 	// BalanceEps is the allowed imbalance: each side of a bisection may
 	// hold up to (1+BalanceEps)/2 of the total weight in every resource
 	// dimension. METIS-like defaults are a few percent; the paper notes
-	// the algorithm "can tolerate some imbalances".
+	// the algorithm "can tolerate some imbalances". Values ≤ 0, NaN and
+	// ±Inf mean the default.
 	BalanceEps float64
-	// FMPasses bounds the number of refinement passes per level.
-	FMPasses int
-	// InitialTries is the number of greedy-graph-growing seeds attempted
-	// for the initial bisection of the coarsest graph; the best cut wins.
-	InitialTries int
 	// Seed seeds the deterministic RNG used for seeds/tie-breaking, so
 	// partitions are reproducible.
 	Seed int64
 	// Parallelism bounds the number of concurrent workers used for the
 	// recursive fan-out of PartitionToFit (the split recursion and, when
-	// sharding, the shard pre-split); each bisection itself is serial, so
-	// Bisect and BisectFraction do not read it. The output is identical at every parallelism level for a fixed
-	// Seed (every subproblem derives its own RNG from structural
-	// coordinates — see parallel.go). Values ≤ 0 mean
-	// runtime.GOMAXPROCS(0); 1 forces a strictly serial run.
+	// sharding, the shard pre-split). Each bisection is serial and so is
+	// KWay's recursion, so Bisect and KWay do not read it. The output is
+	// identical at every parallelism level for a fixed Seed (every
+	// subproblem derives its own RNG from structural coordinates — see
+	// parallel.go). Values ≤ 0 mean runtime.GOMAXPROCS(0); 1 forces a
+	// strictly serial run.
 	Parallelism int
 	// Trace, when non-nil, is the parent span the partitioner hangs its
 	// phase spans under (one "split" span per recursive bisection). Nil
@@ -80,28 +91,17 @@ type Options struct {
 // DefaultOptions returns the tuning used by all Goldilocks experiments.
 func DefaultOptions() Options {
 	return Options{
-		CoarsenTo:    48,
-		BalanceEps:   0.10,
-		FMPasses:     8,
-		InitialTries: 6,
-		Seed:         1,
-		Parallelism:  runtime.GOMAXPROCS(0),
+		BalanceEps:  0.10,
+		Seed:        1,
+		Parallelism: runtime.GOMAXPROCS(0),
 	}
 }
 
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.CoarsenTo <= 1 {
-		o.CoarsenTo = d.CoarsenTo
-	}
-	if o.BalanceEps <= 0 {
-		o.BalanceEps = d.BalanceEps
-	}
-	if o.FMPasses <= 0 {
-		o.FMPasses = d.FMPasses
-	}
-	if o.InitialTries <= 0 {
-		o.InitialTries = d.InitialTries
+	// A non-finite eps would make every balance cap NaN, silently
+	// disabling FM and every greedy try, so it takes the default too.
+	if !(o.BalanceEps > 0) || math.IsInf(o.BalanceEps, 1) {
+		o.BalanceEps = DefaultOptions().BalanceEps
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

@@ -83,22 +83,17 @@ func (t *Tree) Assignment(numVertices int) []int {
 }
 
 // PartitionToFit recursively bipartitions the container graph g until every
-// leaf group's aggregate demand fits within capacity scaled by targetUtil
-// (Eq. 2 with the Peak Energy Efficiency packing limit). This is the
-// Goldilocks placement core: min-cut keeps chatty containers together,
-// recursion depth induces the locality hierarchy.
+// leaf group's aggregate demand fits within usable, the server capacity
+// already scaled to the Peak Energy Efficiency packing limit (Eq. 2). This
+// is the Goldilocks placement core: min-cut keeps chatty containers
+// together, recursion depth induces the locality hierarchy.
 //
 // The container graph is flattened once into a pooled CSR arena at the top;
 // the recursion then extracts child subgraphs CSR→CSR into child arenas
 // (never materializing intermediate graph.Graph copies), so the whole run
 // allocates little beyond the result tree itself.
-func PartitionToFit(g *graph.Graph, capacity resources.Vector, targetUtil float64, opts Options) (*Tree, error) {
+func PartitionToFit(g *graph.Graph, usable resources.Vector, opts Options) (*Tree, error) {
 	opts = opts.withDefaults()
-	if targetUtil <= 0 {
-		return nil, fmt.Errorf("partition: non-positive target utilization %v", targetUtil)
-	}
-	usable := capacity.Scale(targetUtil)
-
 	n := g.NumVertices()
 	all := make([]int, n)
 	demand := resources.Vector{}
@@ -366,47 +361,49 @@ func KWay(g *graph.Graph, k int, opts Options) ([]int, float64) {
 		}
 		return part, g.CutWeightK(part)
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
+	opts = opts.withDefaults()
+	a := getArena(n)
 	next := 0
-	kwaySplit(g, all, k, opts, &next, part)
+	kwaySplit(a.buildRootCSRNormalized(g), k, opts, &next, part, a)
 	return part, g.CutWeightK(part)
 }
 
-func kwaySplit(g *graph.Graph, vertices []int, k int, opts Options, next *int, part []int) {
-	if k == 1 || len(vertices) <= 1 {
+// kwaySplit numbers k parts of the subproblem sub from *next on, left to
+// right. The arena discipline is splitToFit's, run serially: the callee
+// owns a, a part returns it to the pool, and an inner node extracts the
+// right child into a fresh arena and compacts the left child into a in
+// place.
+func kwaySplit(sub *csrGraph, k int, opts Options, next *int, part []int, a *levelArena) {
+	n := sub.n
+	if k == 1 || n <= 1 {
 		id := *next
 		*next++
-		for _, v := range vertices {
-			part[v] = id
+		for _, ov := range sub.toOrig[:n] {
+			part[ov] = id
 		}
+		putArena(a)
 		return
 	}
 	kLeft := k / 2
 	kRight := k - kLeft
-	sub, toOrig := g.Subgraph(vertices)
 	subOpts := opts
-	subOpts.Seed = deriveSeed(opts.Seed, saltKWay, uint64(vertices[0]), uint64(len(vertices)), uint64(k))
+	subOpts.Seed = deriveSeed(opts.Seed, saltKWay, uint64(sub.toOrig[0]), uint64(n), uint64(k))
 	frac := float64(kRight) / float64(k) // side 1 feeds the right recursion
-	bis := BisectFraction(sub, subOpts, frac)
+	bisectCSR(sub, subOpts, frac, a)
 
-	var leftV, rightV []int
-	for sv, side := range bis.Side {
-		if side == 0 {
-			leftV = append(leftV, toOrig[sv])
-		} else {
-			rightV = append(rightV, toOrig[sv])
+	side := a.side
+	if oneSided(side) {
+		mid := max(1, n*kLeft/k)
+		for sv := range side {
+			side[sv] = 0
+			if sv >= mid {
+				side[sv] = 1
+			}
 		}
 	}
-	if len(leftV) == 0 || len(rightV) == 0 {
-		mid := len(vertices) * kLeft / k
-		if mid == 0 {
-			mid = 1
-		}
-		leftV, rightV = vertices[:mid], vertices[mid:]
-	}
-	kwaySplit(g, leftV, kLeft, opts, next, part)
-	kwaySplit(g, rightV, kRight, opts, next, part)
+	ra := getArena(n)
+	right := extractChild(sub, side, 1, a, ra)
+	left := extractChild(sub, side, 0, a, a)
+	kwaySplit(left, kLeft, opts, next, part, a)
+	kwaySplit(right, kRight, opts, next, part, ra)
 }

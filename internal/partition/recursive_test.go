@@ -9,12 +9,13 @@ import (
 
 	"goldilocks/internal/graph"
 	"goldilocks/internal/resources"
+	"goldilocks/internal/workload"
 )
 
 func TestPartitionToFitSingleServer(t *testing.T) {
 	g := unitGraph(4)
 	cap := resources.New(100, 100, 100)
-	tree, err := PartitionToFit(g, cap, 0.7, DefaultOptions())
+	tree, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestPartitionToFitSplitsUntilFit(t *testing.T) {
 		g.AddEdge(v, v+1, 1)
 	}
 	cap := resources.New(50, 1000, 1000)
-	tree, err := PartitionToFit(g, cap, 0.7, DefaultOptions()) // usable = 35 CPU
+	tree, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions()) // usable = 35 CPU
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPartitionToFitAssignmentCoversAll(t *testing.T) {
 		g.AddEdge(rng.Intn(40), rng.Intn(40), float64(1+rng.Intn(5)))
 	}
 	cap := resources.New(10, 10, 10) // usable 7 → groups of ≤ 7
-	tree, err := PartitionToFit(g, cap, 0.7, DefaultOptions())
+	tree, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestPartitionToFitVertexTooLarge(t *testing.T) {
 	g.SetVertexWeight(0, resources.New(100, 1, 1))
 	g.SetVertexWeight(1, resources.New(1, 1, 1))
 	cap := resources.New(100, 100, 100)
-	_, err := PartitionToFit(g, cap, 0.7, DefaultOptions()) // usable CPU = 70 < 100
+	_, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions()) // usable CPU = 70 < 100
 	if !errors.Is(err, ErrVertexTooLarge) {
 		t.Fatalf("err = %v, want ErrVertexTooLarge", err)
 	}
@@ -122,7 +123,7 @@ func TestPartitionToFitInvalidDemand(t *testing.T) {
 			for _, shards := range []int{0, 4} {
 				opts := DefaultOptions()
 				opts.ShardCount = shards
-				_, err := PartitionToFit(g, cap, 0.7, opts)
+				_, err := PartitionToFit(g, cap.Scale(0.7), opts)
 				if !errors.Is(err, tc.want) {
 					t.Fatalf("ShardCount %d: err = %v, want %v", shards, err, tc.want)
 				}
@@ -131,19 +132,12 @@ func TestPartitionToFitInvalidDemand(t *testing.T) {
 	}
 }
 
-func TestPartitionToFitBadTarget(t *testing.T) {
-	g := unitGraph(2)
-	if _, err := PartitionToFit(g, resources.New(1, 1, 1), 0, DefaultOptions()); err == nil {
-		t.Fatal("target utilization 0 must be rejected")
-	}
-}
-
 func TestPartitionToFitLocality(t *testing.T) {
 	// Two chatty clusters that each fit one server: partitioning must not
 	// mix them (the cut would then include heavy internal edges).
 	g := twoCliques(5, 10, 1) // 10 unit vertices
 	cap := resources.New(8, 8, 8)
-	tree, err := PartitionToFit(g, cap, 0.7, DefaultOptions()) // usable 5.6 → ≥ 2 groups
+	tree, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions()) // usable 5.6 → ≥ 2 groups
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +160,7 @@ func TestPartitionToFitAntiAffinityReplicas(t *testing.T) {
 	}
 	g.AddEdge(0, 1, -50)
 	cap := resources.New(7, 7, 7)
-	tree, err := PartitionToFit(g, cap, 0.7, DefaultOptions()) // usable 4.9 → ≥ 2 groups
+	tree, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions()) // usable 4.9 → ≥ 2 groups
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +184,7 @@ func TestPropertyPartitionToFitInvariants(t *testing.T) {
 		cap := resources.New(20, 20, 20)
 		opts := DefaultOptions()
 		opts.Seed = seed
-		tree, err := PartitionToFit(g, cap, 0.7, opts)
+		tree, err := PartitionToFit(g, cap.Scale(0.7), opts)
 		if err != nil {
 			return true // demand/capacity combination infeasible is fine
 		}
@@ -326,8 +320,46 @@ func BenchmarkPartitionToFit500(b *testing.B) {
 	cap := resources.New(3200, 65536, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PartitionToFit(g, cap, 0.7, DefaultOptions()); err != nil {
+		if _, err := PartitionToFit(g, cap.Scale(0.7), DefaultOptions()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestNonFiniteBalanceEpsUsesDefault: a NaN or +Inf BalanceEps takes the
+// default, like a non-positive one. Passed through, it made every balance
+// cap NaN, which silently disabled FM and every greedy try (Twitter-176
+// then needed 26 servers instead of 23).
+func TestNonFiniteBalanceEpsUsesDefault(t *testing.T) {
+	g := workload.TwitterWorkload(176, 1).Graph()
+	usable := resources.New(400, 16384, 10000).Scale(0.7)
+	wantTree, err := PartitionToFit(g, usable, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBis := Bisect(g, DefaultOptions())
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		opts := DefaultOptions()
+		opts.BalanceEps = eps
+		tree, err := PartitionToFit(g, usable, opts)
+		if err != nil {
+			t.Fatalf("eps %v: %v", eps, err)
+		}
+		if len(tree.Leaves) != len(wantTree.Leaves) || tree.Cut != wantTree.Cut {
+			t.Fatalf("eps %v: %d leaves, cut %v; default eps gives %d leaves, cut %v",
+				eps, len(tree.Leaves), tree.Cut, len(wantTree.Leaves), wantTree.Cut)
+		}
+		if err := sameTree(wantTree.Root, tree.Root); err != nil {
+			t.Fatalf("eps %v: %v", eps, err)
+		}
+		bis := Bisect(g, opts)
+		if bis.Cut != wantBis.Cut {
+			t.Fatalf("eps %v: Bisect cut %v, default eps %v", eps, bis.Cut, wantBis.Cut)
+		}
+		for v := range wantBis.Side {
+			if bis.Side[v] != wantBis.Side[v] {
+				t.Fatalf("eps %v: Bisect puts vertex %d on side %d, default eps %d", eps, v, bis.Side[v], wantBis.Side[v])
+			}
 		}
 	}
 }

@@ -152,24 +152,24 @@ const lockUnmovableMinN = 8192
 const fmStallLimit = 50
 
 // fmRefine runs Fiduccia–Mattheyses passes on the bisection in sideOf,
-// mutating it in place, and returns the resulting cut weight. frac is side
-// 1's target weight share. Each pass tentatively moves vertices in order of
-// decreasing gain (allowing uphill moves) until the heap runs dry or
-// fmStallLimit moves in a row fail to improve the cut, then rolls back to
-// the best prefix. Passes repeat until no pass improves the cut or
-// opts.FMPasses is exhausted. span, when non-nil, receives one event per
-// pass with the resulting cut (the "FM refinement rounds" detail of the
-// trace). scr is caller-owned working memory (arena or try scratch), so
-// refinement allocates nothing once the scratch has grown to the graph's
-// size.
+// mutating it in place, and returns the resulting cut weight. eps is the
+// allowed imbalance and frac is side 1's target weight share. Each pass
+// tentatively moves vertices in order of decreasing gain (allowing uphill
+// moves) until the heap runs dry or fmStallLimit moves in a row fail to
+// improve the cut, then rolls back to the best prefix. Passes repeat until
+// no pass improves the cut or the passes budget is exhausted. span, when
+// non-nil, receives one event per pass with the resulting cut (the "FM
+// refinement rounds" detail of the trace). scr is caller-owned working
+// memory (arena or try scratch), so refinement allocates nothing once the
+// scratch has grown to the graph's size.
 //
 //goldilocks:hotpath
-func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *telemetry.Span, scr *fmScratch) float64 {
+func fmRefine(g *csrGraph, sideOf []int8, eps, frac float64, passes int, span *telemetry.Span, scr *fmScratch) float64 {
 	n := g.n
 	if n == 0 {
 		return 0
 	}
-	bal := newBalanceState(g, sideOf, opts.BalanceEps, frac)
+	bal := newBalanceState(g, sideOf, eps, frac)
 	cut := g.cutWeight(sideOf)
 
 	scr.grow(n) //lint:ignore allocfree amortized arena growth on capacity miss; the steady state reuses the backing array
@@ -179,7 +179,7 @@ func fmRefine(g *csrGraph, sideOf []int8, opts Options, frac float64, span *tele
 	moves := scr.moves[:0]
 	xadj, adjn, wts, vw := g.xadj, g.adj, g.w, g.vw
 
-	for pass := 0; pass < opts.FMPasses; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		h := scr.heap[:0]
 		for v := 0; v < n; v++ {
 			locked[v] = false

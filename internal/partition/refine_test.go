@@ -24,13 +24,12 @@ func TestFMStallLimit(t *testing.T) {
 			for v, p := range rng.Perm(n) {
 				side[v] = int8(p % 2)
 			}
-			opts := DefaultOptions()
-			opts.FMPasses = 1
+			eps := DefaultOptions().BalanceEps
 			before := make([]int8, n)
 			stalled := 0
 			for pass := 0; pass < 8; pass++ {
 				copy(before, side)
-				cut := fmRefine(c, side, opts, 0.5, nil, &a.fm)
+				cut := fmRefine(c, side, eps, 0.5, 1, nil, &a.fm)
 				if got := c.cutWeight(side); got != cut {
 					t.Fatalf("pass %d: returned cut %v, sides give %v", pass, cut, got)
 				}
@@ -59,5 +58,24 @@ func TestFMStallLimit(t *testing.T) {
 				t.Fatal("no pass reached the stall limit; the test graph does not exercise it")
 			}
 		})
+	}
+}
+
+// TestAblationRefinement shows multilevel refinement earns its cut quality:
+// Bisect on the Twitter-176 graph cuts no worse than a crippled bisection
+// without coarsening, with one greedy try and one FM pass over the
+// uncoarsened graph.
+func TestAblationRefinement(t *testing.T) {
+	g := workload.TwitterWorkload(176, 1).Graph()
+	opts := DefaultOptions()
+	refined := Bisect(g, opts)
+
+	c, a := testCSR(g)
+	defer putArena(a)
+	side := make([]int8, c.n)
+	initialBisection(c, nil, opts, 0.5, 1, a, side)
+	crippled := fmRefine(c, side, opts.BalanceEps, 0.5, 1, nil, &a.fm)
+	if refined.Cut > crippled {
+		t.Errorf("multilevel cut %.0f must not exceed crippled cut %.0f", refined.Cut, crippled)
 	}
 }

@@ -66,7 +66,7 @@ func TestShardedParallelismInvariant(t *testing.T) {
 	for name, g := range shardShapes(n) {
 		t.Run(name, func(t *testing.T) {
 			cap := shardCapacityFor(g, n/80)
-			ref, err := PartitionToFit(g, cap, 1.0, shardOpts(1))
+			ref, err := PartitionToFit(g, cap, shardOpts(1))
 			if err != nil {
 				t.Fatalf("serial sharded run failed: %v", err)
 			}
@@ -74,7 +74,7 @@ func TestShardedParallelismInvariant(t *testing.T) {
 				t.Fatalf("degenerate partition: %d leaves", len(ref.Leaves))
 			}
 			for _, p := range []int{4, 8} {
-				got, err := PartitionToFit(g, cap, 1.0, shardOpts(p))
+				got, err := PartitionToFit(g, cap, shardOpts(p))
 				if err != nil {
 					t.Fatalf("p=%d sharded run failed: %v", p, err)
 				}
@@ -95,14 +95,14 @@ func TestShardedOffMatchesFlat(t *testing.T) {
 	base := DefaultOptions()
 	base.Seed = 1
 	base.Parallelism = 2
-	ref, err := PartitionToFit(g, cap, 1.0, base)
+	ref, err := PartitionToFit(g, cap, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range []int{0, 1, -1} {
 		opts := base
 		opts.ShardCount = sc
-		got, err := PartitionToFit(g, cap, 1.0, opts)
+		got, err := PartitionToFit(g, cap, opts)
 		if err != nil {
 			t.Fatalf("ShardCount=%d: %v", sc, err)
 		}
@@ -125,12 +125,12 @@ func TestShardedOffMatchesFlat(t *testing.T) {
 	tiny := shardCapacityFor(small, 2)
 	flatOpts := DefaultOptions()
 	flatOpts.Seed = 1
-	refS, err := PartitionToFit(small, tiny, 1.0, flatOpts)
+	refS, err := PartitionToFit(small, tiny, flatOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flatOpts.ShardCount = 3 // n=5 < 2·3
-	gotS, err := PartitionToFit(small, tiny, 1.0, flatOpts)
+	gotS, err := PartitionToFit(small, tiny, flatOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestShardedInvariants(t *testing.T) {
 	for name, g := range shardShapes(n) {
 		t.Run(name, func(t *testing.T) {
 			cap := shardCapacityFor(g, n/80)
-			tree, err := PartitionToFit(g, cap, 1.0, shardOpts(4))
+			tree, err := PartitionToFit(g, cap, shardOpts(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,12 +213,12 @@ func TestShardedRepeatedRuns(t *testing.T) {
 	cap := shardCapacityFor(g, 100)
 	opts := shardOpts(4)
 	opts.Seed = 11
-	ref, err := PartitionToFit(g, cap, 1.0, opts)
+	ref, err := PartitionToFit(g, cap, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		got, err := PartitionToFit(g, cap, 1.0, opts)
+		got, err := PartitionToFit(g, cap, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestShardedVariousShardCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			opts := shardOpts(4)
 			opts.ShardCount = k
-			tree, err := PartitionToFit(g, cap, 1.0, opts)
+			tree, err := PartitionToFit(g, cap, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

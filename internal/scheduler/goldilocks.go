@@ -132,7 +132,7 @@ func (p Goldilocks) placeAtTarget(req Request, g *graph.Graph, target float64, s
 	popts.ShardCount = autoShardCount(popts.ShardCount, g.NumVertices(),
 		len(req.Topo.SubtreesAtLevel(topology.LevelPod)))
 	span.SetInt("shard_count", popts.ShardCount)
-	tree, err := partition.PartitionToFit(g, usableAvg, 1.0, popts)
+	tree, err := partition.PartitionToFit(g, usableAvg, popts)
 	if err != nil {
 		return Result{}, nil, fmt.Errorf("goldilocks: partitioning failed: %w", err)
 	}
