@@ -320,10 +320,10 @@ type (
 	// retry/timeout/exponential-backoff schedule; see
 	// RunnerOptions.MigrateRetry.
 	MigrationRetryPolicy = migrate.RetryPolicy
-	// RecoverOutcome summarizes journal recovery: the restored state,
-	// the committed reports to re-emit, orphaned post-commit records,
-	// and whether a torn tail was truncated.
-	RecoverOutcome = cluster.RecoverOutcome
+	// RecoverOutcome is the decoded journal a recovery returns: the
+	// restored state, the committed reports to re-emit, orphaned
+	// post-commit records, and whether a torn tail was truncated.
+	RecoverOutcome = cluster.JournalView
 	// ReconcileReport accounts for half-applied migration waves rolled
 	// forward or back during recovery.
 	ReconcileReport = cluster.ReconcileReport
@@ -335,11 +335,11 @@ func CreateJournal(path string, sess *TelemetrySession) (*JournalWriter, error) 
 	return journal.Create(path, sess)
 }
 
-// RecoverJournal replays a journal after a crash: it truncates any torn
-// tail, restores the last committed state, and returns a writer
+// RecoverJournal replays a journal after a crash: it restores the last
+// committed state, truncates any torn tail, and returns a writer
 // positioned to continue the run. cfgHash must match the value sealed in
 // the checkpoint record, so a journal from a different run configuration
-// is refused rather than silently replayed.
+// is refused — and left untouched — rather than silently replayed.
 func RecoverJournal(path string, cfgHash uint64, sess *TelemetrySession) (*JournalWriter, RecoverOutcome, error) {
 	return cluster.RecoverJournal(path, cfgHash, sess)
 }

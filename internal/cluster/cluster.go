@@ -37,19 +37,10 @@ type Options struct {
 	// PerHopLatencyMS is the network latency contributed by each link on
 	// a request's path.
 	PerHopLatencyMS float64
-	// MaxQueueUtil clamps the M/M/1 utilization to keep the queueing
-	// term finite; utilizations at or above it saturate to the clamp.
-	MaxQueueUtil float64
-	// MaxLinkUtil clamps per-link utilization in the congestion term.
-	MaxLinkUtil float64
 	// FocusApp, when non-empty, restricts TCT accounting to flows whose
 	// endpoints both run the named application (the paper reports the
 	// latency of Twitter queries specifically).
 	FocusApp string
-	// BackupSwitches is the number of extra aggregation/core switches
-	// kept powered per group as backup paths (§II: "a few extra backup
-	// paths are reserved for bursty traffic").
-	BackupSwitches int
 	// SLATargetMS, when positive, marks request latencies above it as
 	// SLA violations (reported per epoch as the violating share of
 	// request weight). The paper's motivation: packing to ~100% leaves
@@ -82,23 +73,27 @@ type Options struct {
 	// their effects are applied, and a commit record seals the epoch with
 	// the post-epoch runner state. See RecoverJournal for the resume side.
 	Journal *journal.Writer
-	// CrashAfterRecords, when positive, simulates a control-plane kill:
-	// once that many journal records have been appended by this runner,
-	// RunEpoch aborts with ErrSimulatedCrash immediately after the record
-	// reaches disk — the knob the chaos scheduler-crash fault and the
-	// crash-replay guard drive to tear an epoch at any record boundary.
-	CrashAfterRecords int
 }
+
+const (
+	// maxQueueUtil clamps the M/M/c per-server utilization to keep the
+	// queueing term finite; utilizations at or above it saturate to the
+	// clamp.
+	maxQueueUtil = 0.98
+	// maxLinkUtil clamps per-link utilization in the congestion term.
+	maxLinkUtil = 0.90
+	// backupSwitches is the number of extra aggregation/core switches
+	// kept powered per group as backup paths (§II: "a few extra backup
+	// paths are reserved for bursty traffic").
+	backupSwitches = 1
+)
 
 // DefaultOptions matches the testbed experiments.
 func DefaultOptions() Options {
 	return Options{
 		EpochLength:     time.Minute,
 		PerHopLatencyMS: 0.8,
-		MaxQueueUtil:    0.98,
-		MaxLinkUtil:     0.90,
 		FocusApp:        workload.TwitterCaching.Name,
-		BackupSwitches:  1,
 	}
 }
 
@@ -225,9 +220,14 @@ type Runner struct {
 	hLinkUtil *telemetry.Histogram
 
 	// recordsWritten counts journal appends by this runner instance (not
-	// carried across restarts) — the clock Options.CrashAfterRecords
-	// crashes against.
+	// carried across restarts) — the clock crashAfterRecords crashes
+	// against.
 	recordsWritten int
+	// crashAfterRecords, when positive, simulates a control-plane kill:
+	// once recordsWritten reaches it, RunEpoch aborts with
+	// ErrSimulatedCrash immediately after the record reaches disk. Only
+	// ArmCrash sets it.
+	crashAfterRecords int
 	// auditJournaled is the cursor into the session audit log marking the
 	// decisions already journaled; journalAudit writes the slice beyond it.
 	auditJournaled int
@@ -238,14 +238,8 @@ func NewRunner(topo *topology.Topology, policy scheduler.Policy, opts Options) *
 	if opts.EpochLength <= 0 {
 		opts.EpochLength = DefaultOptions().EpochLength
 	}
-	if opts.MaxQueueUtil <= 0 || opts.MaxQueueUtil >= 1 {
-		opts.MaxQueueUtil = DefaultOptions().MaxQueueUtil
-	}
 	if opts.PerHopLatencyMS < 0 {
 		opts.PerHopLatencyMS = DefaultOptions().PerHopLatencyMS
-	}
-	if opts.MaxLinkUtil <= 0 || opts.MaxLinkUtil >= 1 {
-		opts.MaxLinkUtil = DefaultOptions().MaxLinkUtil
 	}
 	return &Runner{
 		topo:      topo,
@@ -295,7 +289,7 @@ func (r *Runner) RunEpoch(in EpochInput) (EpochReport, error) {
 				Policy: r.policy.Name(), Container: -1, Group: -1,
 				Action: telemetry.ActionDegraded, Server: -1, From: -1,
 				Detail: fmt.Sprintf("modeled solve cost exceeds %v budget; running rung %d (%s) at %.1f ms",
-					r.opts.SolveDeadline, rung, rungName(rung), modeledMS),
+					r.opts.SolveDeadline, rung, RungName(rung), modeledMS),
 			})
 		}
 	}
@@ -464,9 +458,9 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 	linkUtil := make(map[*topology.Link]float64, len(linkLoad))
 	for l, mbps := range linkLoad {
 		if l.CapacityMbps > 0 {
-			linkUtil[l] = math.Min(mbps/l.CapacityMbps, r.opts.MaxLinkUtil)
+			linkUtil[l] = math.Min(mbps/l.CapacityMbps, maxLinkUtil)
 		} else {
-			linkUtil[l] = r.opts.MaxLinkUtil
+			linkUtil[l] = maxLinkUtil
 		}
 	}
 	// Histogram increments commute, so ranging the map directly is safe:
@@ -559,7 +553,7 @@ func (r *Runner) networkPower(active []bool, linkLoad map[*topology.Link]float64
 				// Ports: one per active server plus the uplink ports
 				// the rack's outbound traffic actually needs (plus a
 				// backup).
-				uplinks := 1 + r.opts.BackupSwitches
+				uplinks := 1 + backupSwitches
 				if n.Uplink != nil && n.Uplink.CapacityMbps > 0 {
 					perPort := n.Uplink.CapacityMbps / float64(sg.Model.NumPorts/2)
 					uplinks += int(math.Ceil(linkLoad[n.Uplink] / perPort))
@@ -586,12 +580,12 @@ func (r *Runner) networkPower(active []bool, linkLoad map[*topology.Link]float64
 				continue
 			}
 			for _, sg := range n.Switches {
-				on := 1 + r.opts.BackupSwitches
+				on := 1 + backupSwitches
 				if childCap > 0 {
 					share := childCap / float64(sg.Count) // capacity one switch provides
-					on = int(math.Ceil(transit/share)) + r.opts.BackupSwitches
-					if on < 1+r.opts.BackupSwitches {
-						on = 1 + r.opts.BackupSwitches
+					on = int(math.Ceil(transit/share)) + backupSwitches
+					if on < 1+backupSwitches {
+						on = 1 + backupSwitches
 					}
 				}
 				if on > sg.Count {
@@ -660,7 +654,7 @@ func (r *Runner) taskCompletionTimes(spec *workload.Spec, placement []int, cpuUt
 			continue // a shed endpoint serves no requests
 		}
 		// Queueing at the responder's server: M/M/c with c = cores.
-		rho := math.Min(cpuUtil[sb], r.opts.MaxQueueUtil)
+		rho := math.Min(cpuUtil[sb], maxQueueUtil)
 		service := cb.App.ServiceTimeMS
 		cores := r.topo.Capacity[sb][resources.CPU] / 100
 		queued := service + service*queueWaitFactor(rho, cores)

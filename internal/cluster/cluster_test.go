@@ -214,9 +214,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if r.opts.EpochLength != time.Minute {
 		t.Fatalf("epoch length default = %v", r.opts.EpochLength)
 	}
-	if r.opts.MaxQueueUtil != 0.98 {
-		t.Fatalf("queue clamp default = %v", r.opts.MaxQueueUtil)
-	}
 }
 
 func BenchmarkRunEpochGoldilocks(b *testing.B) {

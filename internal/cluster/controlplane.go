@@ -27,7 +27,7 @@ import (
 	"goldilocks/internal/telemetry"
 )
 
-// ErrSimulatedCrash is returned by RunEpoch when Options.CrashAfterRecords
+// ErrSimulatedCrash is returned by RunEpoch when a crash armed by ArmCrash
 // fires: the control plane "died" immediately after the journal record it
 // just wrote reached disk. The journal is left exactly as a real kill at
 // that point would leave it.
@@ -45,11 +45,8 @@ const (
 	RungGreedy = 2
 )
 
-// RungName names a ladder rung for reports and logs.
-func RungName(rung int) string { return rungName(rung) }
-
-// rungName names a ladder rung for audit records and telemetry.
-func rungName(rung int) string {
+// RungName names a ladder rung for reports, logs, and audit records.
+func RungName(rung int) string {
 	switch rung {
 	case RungFull:
 		return "full"
@@ -262,7 +259,7 @@ func (r *Runner) Epoch() int { return r.epoch }
 // record boundary (n=1 dies right after the epoch-begin intent).
 func (r *Runner) ArmCrash(n int) {
 	if n > 0 {
-		r.opts.CrashAfterRecords = r.recordsWritten + n
+		r.crashAfterRecords = r.recordsWritten + n
 	}
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -211,12 +213,12 @@ func runJournaled(t *testing.T, path string, inputs []EpochInput, crashAfter int
 	defer w.Close()
 	opts := DefaultOptions()
 	opts.Journal = w
-	opts.CrashAfterRecords = crashAfter
 	opts.MigrateRetry = migrate.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, FlakeProb: 0.3, Seed: 11}
 	r := NewRunner(topology.NewTestbed(), scheduler.Goldilocks{}, opts)
 	if err := WriteCheckpoint(w, 0xC0FFEE, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
+	r.ArmCrash(crashAfter)
 	return r.RunSeries(inputs)
 }
 
@@ -293,14 +295,85 @@ func TestCrashResumeByteIdenticalAtEveryRecordBoundary(t *testing.T) {
 	}
 }
 
-// TestRecoverJournalRejectsWrongConfig pins the config-hash guard.
+// appendTornTail simulates a crash mid-append: bytes after the last valid
+// record that do not form a record. It returns the valid prefix length.
+func appendTornTail(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestRecoverJournalReportsTornTail pins that a resume reports the torn
+// tail it truncates, cuts the file back to the valid prefix, and decodes
+// exactly what the read-only ReadJournal sees.
+func TestRecoverJournalReportsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	if _, err := runJournaled(t, path, varyingInputs(3), 0); err != nil {
+		t.Fatal(err)
+	}
+	validLen := appendTornTail(t, path)
+	view, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !view.Torn {
+		t.Fatal("ReadJournal missed the torn tail")
+	}
+
+	w, out, err := RecoverJournal(path, 0xC0FFEE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if !out.Torn {
+		t.Fatal("RecoverJournal truncated a torn tail but reported a clean journal")
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != validLen {
+		t.Fatalf("recovered journal is %d bytes, want the %d-byte valid prefix", info.Size(), validLen)
+	}
+	if !reflect.DeepEqual(out, view) {
+		t.Fatal("RecoverJournal and ReadJournal decoded the same journal differently")
+	}
+}
+
+// TestRecoverJournalRejectsWrongConfig pins the config-hash guard: a
+// journal from another run configuration is refused and left untouched —
+// not even its torn tail is truncated — so the run that wrote it can
+// still resume it.
 func TestRecoverJournalRejectsWrongConfig(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
 	if _, err := runJournaled(t, path, varyingInputs(2), 0); err != nil {
 		t.Fatal(err)
 	}
+	appendTornTail(t, path)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := RecoverJournal(path, 0xBAD, nil); err == nil {
 		t.Fatal("journal from another run configuration accepted")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused resume modified the journal: %d bytes → %d bytes", len(before), len(after))
 	}
 }
 

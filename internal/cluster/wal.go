@@ -31,8 +31,8 @@ import (
 )
 
 // journalAppend frames and appends one record, then fires the simulated
-// crash if Options.CrashAfterRecords says this record was the last one
-// the control plane lived to write.
+// crash if ArmCrash said this record was the last one the control plane
+// lived to write.
 func (r *Runner) journalAppend(kind journal.Kind, body []byte) error {
 	if r.opts.Journal == nil {
 		return nil
@@ -41,7 +41,7 @@ func (r *Runner) journalAppend(kind journal.Kind, body []byte) error {
 		return err
 	}
 	r.recordsWritten++
-	if r.opts.CrashAfterRecords > 0 && r.recordsWritten >= r.opts.CrashAfterRecords {
+	if r.crashAfterRecords > 0 && r.recordsWritten >= r.crashAfterRecords {
 		return ErrSimulatedCrash
 	}
 	return nil
@@ -318,8 +318,12 @@ func decodeVector(d *journal.Dec) resources.Vector {
 	return v
 }
 
-// RecoverOutcome is what RecoverJournal found on disk.
-type RecoverOutcome struct {
+// JournalView is a decoded journal: what a resume restores (RecoverJournal)
+// and what an analysis tool (goldilocks-inspect, journal-only -explain)
+// reads without reopening the log (ReadJournal).
+type JournalView struct {
+	// CfgHash is the run-configuration hash stamped by WriteCheckpoint.
+	CfgHash uint64
 	// State is the last committed runner state; its Epoch is the next
 	// epoch to execute. The initial checkpoint counts — a journal with no
 	// epoch commits recovers to the checkpointed start state.
@@ -333,105 +337,62 @@ type RecoverOutcome struct {
 	// KindAudit payloads whose epochs sealed. A resume replays them into
 	// the live session so -explain answers span the pre-crash history.
 	Audit []telemetry.Decision
+	// Records is every valid record of the file, checkpoint included.
+	Records []journal.Raw
 	// Orphans are the records after the last commit — the partially
 	// journaled epoch a crash tore. Pass them to Reconcile.
 	Orphans []journal.Raw
-	// Torn reports that the file ended in a torn (CRC-failing) tail,
-	// which Resume truncated away.
+	// Torn reports a CRC-failing tail after the valid prefix (which
+	// RecoverJournal truncates away).
 	Torn bool
 }
 
-// RecoverJournal reopens a journal for append and rolls state back to the
-// last commit. cfgHash must match the hash stamped by WriteCheckpoint —
-// resuming a journal from a different run configuration is refused, since
-// re-execution would diverge from the journaled intents.
-func RecoverJournal(path string, cfgHash uint64, sess *telemetry.Session) (*journal.Writer, RecoverOutcome, error) {
-	w, recs, err := journal.Resume(path, sess)
-	if err != nil {
-		return nil, RecoverOutcome{}, err
-	}
-	span := sess.Root("journal-replay", 0)
-	defer span.End()
-	span.SetInt("records", len(recs))
-
+// decodeJournal is the one decoder of a journal's record stream: the
+// checkpoint, then every commit's report and state, sealing the audit
+// records journaled since the previous commit.
+func decodeJournal(path string, recs []journal.Raw, torn bool) (JournalView, error) {
 	if len(recs) == 0 || recs[0].Kind != journal.KindCheckpoint {
-		w.Close()
-		return nil, RecoverOutcome{}, fmt.Errorf("cluster: journal %s has no checkpoint record", path)
+		return JournalView{}, fmt.Errorf("cluster: journal %s has no checkpoint record", path)
 	}
+	view := JournalView{Records: recs, Torn: torn}
 	d := journal.NewDec(recs[0].Body)
-	gotHash := d.U64()
-	st, err := journal.DecodeRunnerState(d)
-	if err != nil {
-		w.Close()
-		return nil, RecoverOutcome{}, fmt.Errorf("cluster: journal checkpoint: %w", err)
+	view.CfgHash = d.U64()
+	var err error
+	if view.State, err = journal.DecodeRunnerState(d); err != nil {
+		return JournalView{}, fmt.Errorf("cluster: journal checkpoint: %w", err)
 	}
-	if gotHash != cfgHash {
-		w.Close()
-		return nil, RecoverOutcome{}, fmt.Errorf("cluster: journal %s was written by a different run configuration (hash %016x, want %016x)", path, gotHash, cfgHash)
-	}
-
-	out := RecoverOutcome{State: st}
 	lastCommit := 0
 	var pendingAudit []telemetry.Decision
-	for i, rec := range recs[1:] {
-		switch rec.Kind {
+	for i := 1; i < len(recs); i++ {
+		switch recs[i].Kind {
 		case journal.KindAudit:
-			decs, err := decodeAuditRecord(rec.Body)
+			decs, err := decodeAuditRecord(recs[i].Body)
 			if err != nil {
-				w.Close()
-				return nil, RecoverOutcome{}, fmt.Errorf("cluster: audit record %d: %w", i+1, err)
+				return JournalView{}, fmt.Errorf("cluster: audit record %d: %w", i, err)
 			}
 			pendingAudit = append(pendingAudit, decs...)
-			continue
 		case journal.KindCommit:
-		default:
-			continue
+			cd := journal.NewDec(recs[i].Body)
+			rep, err := decodeReport(cd)
+			if err != nil {
+				return JournalView{}, fmt.Errorf("cluster: commit record %d: %w", i, err)
+			}
+			cst, err := journal.DecodeRunnerState(cd)
+			if err != nil {
+				return JournalView{}, fmt.Errorf("cluster: commit record %d state: %w", i, err)
+			}
+			view.Reports = append(view.Reports, rep)
+			view.State = cst
+			// The commit seals every audit decision journaled since the
+			// prior commit; audit records in the orphan tail stay
+			// uncommitted.
+			view.Audit = append(view.Audit, pendingAudit...)
+			pendingAudit = nil
+			lastCommit = i
 		}
-		cd := journal.NewDec(rec.Body)
-		rep, err := decodeReport(cd)
-		if err != nil {
-			w.Close()
-			return nil, RecoverOutcome{}, fmt.Errorf("cluster: commit record %d: %w", i+1, err)
-		}
-		cst, err := journal.DecodeRunnerState(cd)
-		if err != nil {
-			w.Close()
-			return nil, RecoverOutcome{}, fmt.Errorf("cluster: commit record %d state: %w", i+1, err)
-		}
-		out.Reports = append(out.Reports, rep)
-		out.State = cst
-		// The commit seals every audit decision journaled since the prior
-		// commit; audit records in the orphan tail stay uncommitted.
-		out.Audit = append(out.Audit, pendingAudit...)
-		pendingAudit = nil
-		lastCommit = i + 1
 	}
-	out.Orphans = recs[lastCommit+1:]
-	span.SetInt("committed_epochs", len(out.Reports))
-	span.SetInt("orphan_records", len(out.Orphans))
-	return w, out, nil
-}
-
-// JournalView is a read-only decode of a journal file: what an analysis
-// tool (goldilocks-inspect, journal-only -explain) can see without
-// reopening the log for append and without knowing the run configuration.
-type JournalView struct {
-	// CfgHash is the run-configuration hash stamped by WriteCheckpoint.
-	CfgHash uint64
-	// State is the last committed runner state (its Epoch is the next
-	// epoch an uninterrupted run would execute).
-	State journal.RunnerState
-	// Reports holds every committed epoch's report, in order.
-	Reports []EpochReport
-	// Audit holds every committed audit decision, in record order.
-	Audit []telemetry.Decision
-	// Records is the total number of valid records scanned (including the
-	// checkpoint and any orphan tail records).
-	Records int
-	// Orphans counts the records after the last commit.
-	Orphans int
-	// Torn reports a CRC-failing tail after the valid prefix.
-	Torn bool
+	view.Orphans = recs[lastCommit+1:]
+	return view, nil
 }
 
 // ReadJournal decodes the journal at path without opening it for append
@@ -442,49 +403,38 @@ func ReadJournal(path string) (JournalView, error) {
 	if err != nil {
 		return JournalView{}, err
 	}
-	if len(recs) == 0 || recs[0].Kind != journal.KindCheckpoint {
-		return JournalView{}, fmt.Errorf("cluster: journal %s has no checkpoint record", path)
-	}
-	view := JournalView{Records: len(recs), Torn: torn}
-	d := journal.NewDec(recs[0].Body)
-	view.CfgHash = d.U64()
-	st, err := journal.DecodeRunnerState(d)
+	return decodeJournal(path, recs, torn)
+}
+
+// RecoverJournal decodes a journal, rolls state back to the last commit,
+// and reopens the log for append after its valid prefix (truncating a
+// torn tail). cfgHash must match the hash stamped by WriteCheckpoint —
+// resuming a journal from a different run configuration is refused, since
+// re-execution would diverge from the journaled intents. A refused
+// journal is left untouched on disk.
+func RecoverJournal(path string, cfgHash uint64, sess *telemetry.Session) (*journal.Writer, JournalView, error) {
+	recs, validLen, torn, err := journal.ReadFile(path, sess)
 	if err != nil {
-		return JournalView{}, fmt.Errorf("cluster: journal checkpoint: %w", err)
+		return nil, JournalView{}, err
 	}
-	view.State = st
-	lastCommit := 0
-	var pendingAudit []telemetry.Decision
-	for i, rec := range recs[1:] {
-		switch rec.Kind {
-		case journal.KindAudit:
-			decs, err := decodeAuditRecord(rec.Body)
-			if err != nil {
-				return JournalView{}, fmt.Errorf("cluster: audit record %d: %w", i+1, err)
-			}
-			pendingAudit = append(pendingAudit, decs...)
-			continue
-		case journal.KindCommit:
-		default:
-			continue
-		}
-		cd := journal.NewDec(rec.Body)
-		rep, err := decodeReport(cd)
-		if err != nil {
-			return JournalView{}, fmt.Errorf("cluster: commit record %d: %w", i+1, err)
-		}
-		cst, err := journal.DecodeRunnerState(cd)
-		if err != nil {
-			return JournalView{}, fmt.Errorf("cluster: commit record %d state: %w", i+1, err)
-		}
-		view.Reports = append(view.Reports, rep)
-		view.State = cst
-		view.Audit = append(view.Audit, pendingAudit...)
-		pendingAudit = nil
-		lastCommit = i + 1
+	span := sess.Root("journal-replay", 0)
+	defer span.End()
+	span.SetInt("records", len(recs))
+
+	view, err := decodeJournal(path, recs, torn)
+	if err != nil {
+		return nil, JournalView{}, err
 	}
-	view.Orphans = len(recs) - 1 - lastCommit
-	return view, nil
+	if view.CfgHash != cfgHash {
+		return nil, JournalView{}, fmt.Errorf("cluster: journal %s was written by a different run configuration (hash %016x, want %016x)", path, view.CfgHash, cfgHash)
+	}
+	w, err := journal.Resume(path, validLen, sess)
+	if err != nil {
+		return nil, JournalView{}, err
+	}
+	span.SetInt("committed_epochs", len(view.Reports))
+	span.SetInt("orphan_records", len(view.Orphans))
+	return w, view, nil
 }
 
 // ReconcileReport classifies the uncommitted tail of a recovered journal.

@@ -91,8 +91,8 @@ func TestAuditRecordsJournaledAndRecovered(t *testing.T) {
 	if view.CfgHash != 0xC0FFEE {
 		t.Fatalf("view cfg hash = %#x, want 0xC0FFEE", view.CfgHash)
 	}
-	if view.Orphans != 0 || view.Torn {
-		t.Fatalf("clean journal reported orphans=%d torn=%v", view.Orphans, view.Torn)
+	if len(view.Orphans) != 0 || view.Torn {
+		t.Fatalf("clean journal reported orphans=%d torn=%v", len(view.Orphans), view.Torn)
 	}
 }
 

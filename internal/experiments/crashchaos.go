@@ -206,7 +206,7 @@ func CrashChaos(opts CrashChaosOptions) (*CrashChaosResult, error) {
 	// fault models a transient control-plane death, not a crash loop).
 	skipCrashesUpTo := time.Duration(-1)
 
-	var recovered *cluster.RecoverOutcome
+	var recovered *cluster.JournalView
 	if opts.JournalPath != "" && opts.Resume {
 		w, out, err := cluster.RecoverJournal(opts.JournalPath, cfgHash, sess)
 		if err != nil {

@@ -161,12 +161,19 @@ func TestWriterCreateResumeTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2, recs, err := Resume(path, nil)
+	recs, validLen, torn, err := ReadFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !torn {
+		t.Fatal("torn tail not detected")
+	}
 	if len(recs) != 2 || recs[1].Kind != KindCommit || string(recs[1].Body) != "epoch-0" {
 		t.Fatalf("resume recs = %+v", recs)
+	}
+	w2, err := Resume(path, validLen, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := w2.Append(KindCommit, []byte("epoch-1")); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 // File-backed journal lifecycle: Create opens a fresh log, ReadFile scans
-// an existing one, Resume truncates the torn tail and reopens for append.
-// Every Append frames, writes, and fsyncs one record — the journal is a
-// WAL, so a record the caller saw succeed is on disk before the epoch
-// effects it describes are applied.
+// an existing one, Resume truncates the torn tail ReadFile found and
+// reopens for append. Every Append frames, writes, and fsyncs one record
+// — the journal is a WAL, so a record the caller saw succeed is on disk
+// before the epoch effects it describes are applied.
 package journal
 
 import (
@@ -68,30 +68,19 @@ func ReadFile(path string, sess *telemetry.Session) (recs []Raw, validLen int64,
 	return recs, int64(n), torn, nil
 }
 
-// Resume reopens an existing journal for append: the torn tail (if any)
-// is truncated away and the writer continues after the last valid record.
-// The scanned records of the valid prefix are returned so the caller can
-// rebuild its state from them without a second read.
-func Resume(path string, sess *telemetry.Session) (*Writer, []Raw, error) {
-	recs, validLen, torn, err := ReadFile(path, sess)
+// Resume reopens an existing journal for append after its valid prefix:
+// validLen is the prefix length ReadFile reported, and anything beyond it
+// (a torn tail) is truncated away.
+func Resume(path string, validLen int64, sess *telemetry.Session) (*Writer, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("journal: reopen: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: reopen: %w", err)
-	}
-	if torn {
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(validLen, 0); err != nil {
+	if err := f.Truncate(validLen); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("journal: seek: %w", err)
+		return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 	}
-	return newWriter(f, sess), recs, nil
+	return newWriter(f, sess), nil
 }
 
 // Append frames one record, writes it, and fsyncs. The record is durable

@@ -164,26 +164,23 @@ func (rep *DiffReport) addJournal(a, b *Run) {
 	default:
 		ad.Present = "both"
 		ad.Identical = true
-		n := len(a.Records)
-		if len(b.Records) < n {
-			n = len(b.Records)
-		}
+		ra, rb := a.View.Records, b.View.Records
+		n := min(len(ra), len(rb))
 		for i := 0; i < n; i++ {
-			ra, rb := a.Records[i], b.Records[i]
-			if ra.Kind != rb.Kind {
+			if ra[i].Kind != rb[i].Kind {
 				ad.Identical = false
-				ad.FirstDivergence = fmt.Sprintf("record %d: kind %s vs %s", i, ra.Kind, rb.Kind)
+				ad.FirstDivergence = fmt.Sprintf("record %d: kind %s vs %s", i, ra[i].Kind, rb[i].Kind)
 				break
 			}
-			if !bytes.Equal(ra.Body, rb.Body) {
+			if !bytes.Equal(ra[i].Body, rb[i].Body) {
 				ad.Identical = false
-				ad.FirstDivergence = fmt.Sprintf("record %d (%s): %d-byte body vs %d-byte body differ", i, ra.Kind, len(ra.Body), len(rb.Body))
+				ad.FirstDivergence = fmt.Sprintf("record %d (%s): %d-byte body vs %d-byte body differ", i, ra[i].Kind, len(ra[i].Body), len(rb[i].Body))
 				break
 			}
 		}
-		if ad.Identical && len(a.Records) != len(b.Records) {
+		if ad.Identical && len(ra) != len(rb) {
 			ad.Identical = false
-			ad.FirstDivergence = fmt.Sprintf("record %d: present in one journal only (%d vs %d records)", n, len(a.Records), len(b.Records))
+			ad.FirstDivergence = fmt.Sprintf("record %d: present in one journal only (%d vs %d records)", n, len(ra), len(rb))
 		}
 	}
 	if !ad.Identical {

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"goldilocks/internal/cluster"
-	"goldilocks/internal/journal"
 )
 
 // Canonical artifact file names inside a run directory — the names the
@@ -31,9 +30,8 @@ type Run struct {
 	MetricsData []byte
 	AuditData   []byte
 	// JournalPath is the discovered *.wal (first in name order), "" when
-	// none; Records its raw framed records; View its decoded form.
+	// none; View its decoded form (raw framed records included).
 	JournalPath string
-	Records     []journal.Raw
 	View        *cluster.JournalView
 }
 
@@ -81,11 +79,6 @@ func LoadRun(dir string) (*Run, error) {
 	sort.Strings(wals)
 	if len(wals) > 0 {
 		run.JournalPath = filepath.Join(dir, wals[0])
-		recs, _, _, err := journal.ReadFile(run.JournalPath, nil)
-		if err != nil {
-			return nil, fmt.Errorf("obs: journal %s: %w", run.JournalPath, err)
-		}
-		run.Records = recs
 		view, err := cluster.ReadJournal(run.JournalPath)
 		if err != nil {
 			return nil, fmt.Errorf("obs: journal %s: %w", run.JournalPath, err)

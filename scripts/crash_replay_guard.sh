@@ -11,7 +11,8 @@
 #     to the uninterrupted run's.
 #
 #  2. The CLI end-to-end diff: run goldilocks-sim crashchaos to
-#     completion, then crash it mid-run and resume from the journal; the
+#     completion, then crash it mid-run (once more with a torn tail
+#     appended to the journal) and resume from the journal; the
 #     "epoch ..." and "final: ..." lines of the resumed run must be
 #     byte-for-byte the full run's.
 #
@@ -58,5 +59,29 @@ for boundary in "3 -1" "7 1" "13 2"; do
     fi
     echo "crash at epoch $epoch record $record: resume byte-identical"
 done
+
+# A torn tail: the kill lands mid-append, leaving bytes after the last
+# valid record. The resume must truncate them, say so, and still
+# reproduce the full run.
+rm -rf "$tmp/journal"
+"$tmp/goldilocks-sim" -experiment crashchaos -journal "$tmp/journal" \
+    -crash-at-epoch 7 -crash-at-record 1 > "$tmp/crash.out"
+grep -q "crash: simulated control-plane kill during epoch 7" "$tmp/crash.out" || {
+    echo "crash-replay-guard: crash at epoch 7 record 1 did not land" >&2
+    exit 1
+}
+printf '\377\001\002\003\004' >> "$tmp/journal/crashchaos.wal"
+"$tmp/goldilocks-sim" -experiment crashchaos -journal "$tmp/journal" -resume \
+    -crash-at-epoch 7 -crash-at-record 1 > "$tmp/resume.out"
+grep -q '^recovered: .* (torn tail truncated)$' "$tmp/resume.out" || {
+    echo "crash-replay-guard: resume did not report the truncated torn tail" >&2
+    exit 1
+}
+keep_lines "$tmp/resume.out" "$tmp/resume.lines"
+if ! diff -u "$tmp/full.lines" "$tmp/resume.lines"; then
+    echo "crash-replay-guard: resume after a torn tail diverged from the full run" >&2
+    exit 1
+fi
+echo "crash at epoch 7 record 1 with a torn tail: resume byte-identical"
 
 echo "crash-replay-guard: OK"
