@@ -124,17 +124,6 @@ func (r *Runner) rungPolicy(rung int) scheduler.Policy {
 	}
 }
 
-// mixSeed is the splitmix64 finalizer, used to derive per-epoch retry
-// seeds from the policy's base seed.
-func mixSeed(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // executeMigrations journals the epoch's migration waves and, when a
 // retry policy is armed, simulates the transfers with seeded
 // retry/backoff. A transfer that exhausts its attempts is resolved
@@ -180,7 +169,7 @@ func (r *Runner) executeMigrations(in EpochInput, res *scheduler.Result, espan *
 
 	// Per-epoch seed: the base seed mixed with the epoch number, so each
 	// epoch draws a fresh stream but replays bit-identically on resume.
-	pol.Seed = mixSeed(pol.Seed ^ uint64(r.epoch)*0x9E3779B97F4A7C15)
+	pol.Seed = det.Mix64(pol.Seed ^ uint64(r.epoch)*0x9E3779B97F4A7C15)
 	mopts := migrate.DefaultOptions()
 	mopts.TolerateStuck = true
 	mopts.Retry = pol

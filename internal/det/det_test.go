@@ -28,3 +28,19 @@ func TestSortedKeysEmptyAndNil(t *testing.T) {
 		t.Fatalf("SortedKeys(nil) = %v", got)
 	}
 }
+
+// TestMix64KnownValues pins the finalizer to the SplitMix64 reference
+// stream: seeded with 0, the generator's first outputs are
+// Mix64(k·0x9e3779b97f4a7c15) for k = 1, 2, 3.
+func TestMix64KnownValues(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	for k, w := range want {
+		if got := Mix64(uint64(k+1) * gamma); got != w {
+			t.Errorf("Mix64(%d·gamma) = %#x, want %#x", k+1, got, w)
+		}
+	}
+	if Mix64(0) != 0 {
+		t.Errorf("Mix64(0) = %#x, want 0", Mix64(0))
+	}
+}

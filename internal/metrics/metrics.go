@@ -128,20 +128,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// StdDev returns the population standard deviation, or 0 when len < 2.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // TCTStats summarizes task completion times.
 type TCTStats struct {
 	MeanMS float64
@@ -149,18 +135,6 @@ type TCTStats struct {
 	P95MS  float64
 	P99MS  float64
 	Count  int
-}
-
-// SummarizeTCT computes the standard latency summary from millisecond
-// samples.
-func SummarizeTCT(ms []float64) TCTStats {
-	return TCTStats{
-		MeanMS: Mean(ms),
-		P50MS:  Percentile(ms, 50),
-		P95MS:  Percentile(ms, 95),
-		P99MS:  Percentile(ms, 99),
-		Count:  len(ms),
-	}
 }
 
 // SummarizeWeightedTCT computes the latency summary where sample i carries

@@ -103,33 +103,6 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("stddev of one sample must be 0")
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
-func TestSummarizeTCT(t *testing.T) {
-	ms := []float64{1, 2, 3, 4, 100}
-	st := SummarizeTCT(ms)
-	if st.Count != 5 {
-		t.Fatalf("count = %d", st.Count)
-	}
-	if st.MeanMS != 22 {
-		t.Fatalf("mean = %v", st.MeanMS)
-	}
-	if st.P50MS != 3 {
-		t.Fatalf("p50 = %v", st.P50MS)
-	}
-	if st.P99MS <= st.P50MS {
-		t.Fatal("p99 must exceed p50 for a skewed sample")
-	}
-}
-
 func TestPowerSaving(t *testing.T) {
 	if got := PowerSaving(100, 80); got != 0.2 {
 		t.Fatalf("saving = %v, want 0.2", got)
@@ -227,14 +200,14 @@ func TestSummarizeWeightedTCTMatchesUnweighted(t *testing.T) {
 	ms := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	w := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	a := SummarizeWeightedTCT(ms, w)
-	b := SummarizeTCT(ms)
-	if math.Abs(a.MeanMS-b.MeanMS) > 1e-9 {
-		t.Fatalf("uniform weights: mean %v vs %v", a.MeanMS, b.MeanMS)
+	mean, p50 := Mean(ms), Percentile(ms, 50)
+	if math.Abs(a.MeanMS-mean) > 1e-9 {
+		t.Fatalf("uniform weights: mean %v vs %v", a.MeanMS, mean)
 	}
 	// Percentile conventions differ slightly (nearest-rank vs
 	// interpolated); they must agree within one sample gap.
-	if math.Abs(a.P50MS-b.P50MS) > 1.01 {
-		t.Fatalf("uniform weights: p50 %v vs %v", a.P50MS, b.P50MS)
+	if math.Abs(a.P50MS-p50) > 1.01 {
+		t.Fatalf("uniform weights: p50 %v vs %v", a.P50MS, p50)
 	}
 }
 

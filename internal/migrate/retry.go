@@ -9,7 +9,11 @@
 // levels and across crash/resume re-execution.
 package migrate
 
-import "time"
+import (
+	"time"
+
+	"goldilocks/internal/det"
+)
 
 // RetryPolicy configures transfer retries. The zero value disables the
 // machinery entirely: one attempt, no failure draws, injection at time 0
@@ -43,22 +47,12 @@ const (
 	saltJitter = 0x117E12
 )
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche over 64 bits.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
 // draw folds the policy seed, container, attempt, and salt into a uniform
 // value in [0, 1).
 func (p RetryPolicy) draw(container, attempt int, salt uint64) float64 {
-	h := mix64(p.Seed ^ salt)
-	h = mix64(h ^ uint64(uint32(int32(container))))
-	h = mix64(h ^ uint64(uint32(int32(attempt)))<<32)
+	h := det.Mix64(p.Seed ^ salt)
+	h = det.Mix64(h ^ uint64(uint32(int32(container))))
+	h = det.Mix64(h ^ uint64(uint32(int32(attempt)))<<32)
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 

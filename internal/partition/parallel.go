@@ -14,7 +14,11 @@ package partition
 // result equals the serial one. The experiment drivers rely on this to
 // reproduce the paper's figures regardless of the host's core count.
 
-import "sync"
+import (
+	"sync"
+
+	"goldilocks/internal/det"
+)
 
 // Salts separating the seed-derivation domains, so e.g. coarsening level 3
 // and initial-bisection try 3 never collide.
@@ -38,14 +42,10 @@ func deriveSeed(parent int64, coords ...uint64) int64 {
 	return int64(h)
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator — a cheap
-// avalanche mix whose output is uniformly distributed even for sequential
-// inputs.
+// splitmix64 is one step of the SplitMix64 generator: the golden-ratio
+// increment, then the det.Mix64 finalizer.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return det.Mix64(x + 0x9e3779b97f4a7c15)
 }
 
 // Limiter bounds the number of *extra* goroutines one partitioning run may

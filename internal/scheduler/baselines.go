@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
+	"goldilocks/internal/det"
 	"goldilocks/internal/resources"
+	"goldilocks/internal/workload"
 )
 
 // usableCapacities precomputes each server's capacity scaled by the
@@ -60,7 +63,7 @@ func (EPVM) Place(req Request) (Result, error) {
 	defer span.End()
 	req.Telemetry.Counter("scheduler_place_total").Inc()
 	numServers := req.Topo.NumServers()
-	load := newServerLoad(numServers)
+	used := make([]resources.Vector, numServers)
 	usable := usableCapacities(req.Topo.Capacity, 1.0)
 	placement := make([]int, req.Spec.NumContainers())
 
@@ -79,7 +82,7 @@ func (EPVM) Place(req Request) (Result, error) {
 			if it.stamp != stamps[it.server] {
 				continue // stale
 			}
-			if !load.fits(it.server, c.Demand, usable[it.server]) {
+			if req.Topo.ServerFailed(it.server) || !used[it.server].Add(c.Demand).Fits(usable[it.server]) {
 				skipped = append(skipped, it)
 				continue
 			}
@@ -94,15 +97,15 @@ func (EPVM) Place(req Request) (Result, error) {
 			return Result{}, fmt.Errorf("%w: container %d (%v)", ErrNoCapacity, i, c.Demand)
 		}
 		placement[i] = best
-		load.add(best, c.Demand)
+		used[best] = used[best].Add(c.Demand)
 		stamps[best]++
 		heap.Push(&h, utilHeapItem{
 			server: best,
-			util:   load.utilization(best, req.Topo.Capacity[best]),
+			util:   used[best].MaxUtilization(req.Topo.Capacity[best]),
 			stamp:  stamps[best],
 		})
 	}
-	auditPlaced(req, EPVM{}.Name(), placement, 1.0)
+	auditPlaced(req, EPVM{}.Name(), placement, 1.0, nil)
 	return Result{Placement: placement, AllServersOn: true, TargetUtil: 1.0}, nil
 }
 
@@ -112,15 +115,15 @@ func (EPVM) Place(req Request) (Result, error) {
 // are interchangeable). On a homogeneous 5488-server topology this cuts
 // each placement step from O(servers) to O(active).
 type packer struct {
-	load       *serverLoad
+	used       []resources.Vector // running allocation per server
 	active     []int
 	emptyQueue map[resources.Vector][]int // ascending server ids per class
 	classes    []resources.Vector         // stable iteration order
 	scratch    []int
 }
 
-func newPacker(load *serverLoad, capacities []resources.Vector) *packer {
-	p := &packer{load: load, emptyQueue: make(map[resources.Vector][]int)}
+func newPacker(capacities []resources.Vector) *packer {
+	p := &packer{used: make([]resources.Vector, len(capacities)), emptyQueue: make(map[resources.Vector][]int)}
 	for s, c := range capacities {
 		if _, ok := p.emptyQueue[c]; !ok {
 			p.classes = append(p.classes, c)
@@ -157,7 +160,7 @@ func (p *packer) candidates() []int {
 
 // place commits a container to a server, activating it if it was empty.
 func (p *packer) place(server int, d resources.Vector) {
-	if p.load.used[server].IsZero() {
+	if p.used[server].IsZero() {
 		p.active = append(p.active, server)
 		for _, c := range p.classes {
 			q := p.emptyQueue[c]
@@ -167,16 +170,58 @@ func (p *packer) place(server int, d resources.Vector) {
 			}
 		}
 	}
-	p.load.add(server, d)
+	p.used[server] = p.used[server].Add(d)
 }
+
+// The paper's baseline settings (§VI): mPP and Borg pack CPU and network
+// to 95%, and RC-Informed oversubscribes reserved CPU to 125%.
+const (
+	packCap            = 0.95
+	rcOversubscription = 1.25
+)
+
+// packGreedy is the one packing loop behind mPP, Borg and RC-Informed. It
+// takes the containers in order and charges each (charge: its demand or
+// its reservation) to one packer candidate that is up and still fits it
+// under usable[s]. The first such candidate wins unless a later one has a
+// strictly lower rank, compared as (tier, key); rank sees the server's
+// load before the charge. ceiling is the utilization ceiling the result
+// reports.
+func packGreedy(req Request, name string, order []int, charge func(workload.Container) resources.Vector,
+	usable []resources.Vector, ceiling float64, rank func(s int, used, d resources.Vector) (tier int, key float64)) (Result, error) {
+	span := req.Span.Child(strings.ToLower(name))
+	defer span.End()
+	req.Telemetry.Counter("scheduler_place_total").Inc()
+	pk := newPacker(req.Topo.Capacity)
+	placement := make([]int, req.Spec.NumContainers())
+	for _, i := range order {
+		d := charge(req.Spec.Containers[i])
+		best, bestTier, bestKey := -1, 0, 0.0
+		for _, s := range pk.candidates() {
+			if req.Topo.ServerFailed(s) || !pk.used[s].Add(d).Fits(usable[s]) {
+				continue
+			}
+			tier, key := rank(s, pk.used[s], d)
+			if best < 0 || tier < bestTier || (tier == bestTier && key < bestKey) {
+				best, bestTier, bestKey = s, tier, key
+			}
+		}
+		if best < 0 {
+			return Result{}, fmt.Errorf("%w: container %d (%v)", ErrNoCapacity, i, d)
+		}
+		placement[i] = best
+		pk.place(best, d)
+	}
+	auditPlaced(req, name, placement, ceiling, nil)
+	return Result{Placement: placement, TargetUtil: ceiling}, nil
+}
+
+func demandOf(c workload.Container) resources.Vector { return c.Demand }
 
 // MPP is pMapper's min-power-increase packing [16]: containers are taken
 // in First Fit Decreasing order and placed on the feasible server with the
 // smallest marginal power per unit of utilization, packing up to 95%.
-type MPP struct {
-	// UtilizationCap defaults to 0.95 (the paper's mPP setting).
-	UtilizationCap float64
-}
+type MPP struct{}
 
 // Name implements Policy.
 func (MPP) Name() string { return "mPP" }
@@ -186,52 +231,18 @@ func (p MPP) Place(req Request) (Result, error) {
 	if err := validate(req); err != nil {
 		return Result{}, err
 	}
-	span := req.Span.Child("mpp")
-	defer span.End()
-	req.Telemetry.Counter("scheduler_place_total").Inc()
-	cap := p.UtilizationCap
-	if cap <= 0 {
-		cap = 0.95
-	}
-	load := newServerLoad(req.Topo.NumServers())
-	usable := usableCapacities(req.Topo.Capacity, cap)
-	pk := newPacker(load, req.Topo.Capacity)
-	placement := make([]int, req.Spec.NumContainers())
-	ref := req.Topo.AverageCapacity()
-	for _, i := range demandOrder(req.Spec, ref) {
-		c := req.Spec.Containers[i]
-		best, bestSlope := -1, math.Inf(1)
-		bestActive := false
-		for _, s := range pk.candidates() {
-			if !load.fits(s, c.Demand, usable[s]) {
-				continue
-			}
-			active := !load.used[s].IsZero()
-			slope := req.Topo.Server[s].MarginalPower(load.utilization(s, req.Topo.Capacity[s]))
-			// An already-on server always beats powering a new one
-			// on (the new server adds its idle draw); among equals,
-			// pick the smallest power slope.
-			better := false
-			switch {
-			case best < 0:
-				better = true
-			case active != bestActive:
-				better = active
-			default:
-				better = slope < bestSlope
-			}
-			if better {
-				best, bestSlope, bestActive = s, slope, active
-			}
+	order := demandOrder(req.Spec, req.Topo.AverageCapacity())
+	usable := usableCapacities(req.Topo.Capacity, packCap)
+	return packGreedy(req, p.Name(), order, demandOf, usable, packCap, func(s int, used, _ resources.Vector) (int, float64) {
+		// An already-on server always beats powering a new one on (the
+		// new server adds its idle draw); among equals, pick the
+		// smallest power slope.
+		tier := 0
+		if used.IsZero() {
+			tier = 1
 		}
-		if best < 0 {
-			return Result{}, fmt.Errorf("%w: container %d (%v)", ErrNoCapacity, i, c.Demand)
-		}
-		placement[i] = best
-		pk.place(best, c.Demand)
-	}
-	auditPlaced(req, p.Name(), placement, cap)
-	return Result{Placement: placement, TargetUtil: cap}, nil
+		return tier, req.Topo.Server[s].MarginalPower(used.MaxUtilization(req.Topo.Capacity[s]))
+	})
 }
 
 // Borg implements the task-packing score of Google's Borg [14]: among
@@ -239,10 +250,7 @@ func (p MPP) Place(req Request) (Result, error) {
 // between leftover CPU and leftover memory that makes a machine unusable
 // for future tasks — preferring already-busy machines (best fit), packing
 // to 95%.
-type Borg struct {
-	// UtilizationCap defaults to 0.95.
-	UtilizationCap float64
-}
+type Borg struct{}
 
 // Name implements Policy.
 func (Borg) Name() string { return "Borg" }
@@ -252,44 +260,18 @@ func (p Borg) Place(req Request) (Result, error) {
 	if err := validate(req); err != nil {
 		return Result{}, err
 	}
-	span := req.Span.Child("borg")
-	defer span.End()
-	req.Telemetry.Counter("scheduler_place_total").Inc()
-	cap := p.UtilizationCap
-	if cap <= 0 {
-		cap = 0.95
-	}
-	load := newServerLoad(req.Topo.NumServers())
-	usable := usableCapacities(req.Topo.Capacity, cap)
-	pk := newPacker(load, req.Topo.Capacity)
-	placement := make([]int, req.Spec.NumContainers())
-	ref := req.Topo.AverageCapacity()
-	for _, i := range demandOrder(req.Spec, ref) {
-		c := req.Spec.Containers[i]
-		best, bestScore := -1, math.Inf(1)
-		for _, s := range pk.candidates() {
-			if !load.fits(s, c.Demand, usable[s]) {
-				continue
-			}
-			score := borgScore(load.used[s].Add(c.Demand), req.Topo.Capacity[s], load.used[s].IsZero())
-			if score < bestScore {
-				best, bestScore = s, score
-			}
-		}
-		if best < 0 {
-			return Result{}, fmt.Errorf("%w: container %d (%v)", ErrNoCapacity, i, c.Demand)
-		}
-		placement[i] = best
-		pk.place(best, c.Demand)
-	}
-	auditPlaced(req, p.Name(), placement, cap)
-	return Result{Placement: placement, TargetUtil: cap}, nil
+	order := demandOrder(req.Spec, req.Topo.AverageCapacity())
+	usable := usableCapacities(req.Topo.Capacity, packCap)
+	return packGreedy(req, p.Name(), order, demandOf, usable, packCap, func(s int, used, d resources.Vector) (int, float64) {
+		return 0, borgScore(used.Add(d), req.Topo.Capacity[s], used.IsZero())
+	})
 }
 
 // borgScore is lower for better placements: it penalizes stranded
 // resources (|free CPU − free memory| in normalized terms), rewards high
 // fill (best fit keeps machines either full or empty), and strongly
-// penalizes waking an empty machine.
+// penalizes waking an empty machine. It is finite on every feasible
+// server: a zero capacity admits only a zero demand, whose utilization is 0.
 func borgScore(usedAfter, capacity resources.Vector, wasEmpty bool) float64 {
 	u := usedAfter.Utilization(capacity)
 	freeCPU := 1 - u[resources.CPU]
@@ -309,10 +291,7 @@ func borgScore(usedAfter, capacity resources.Vector, wasEmpty bool) float64 {
 // filled first-fit; because reservations don't shrink at low load, the
 // active server count tracks the container population, not the offered
 // load.
-type RCInformed struct {
-	// Oversubscription defaults to 1.25 (125% CPU).
-	Oversubscription float64
-}
+type RCInformed struct{}
 
 // Name implements Policy.
 func (RCInformed) Name() string { return "RC-Informed" }
@@ -322,20 +301,10 @@ func (p RCInformed) Place(req Request) (Result, error) {
 	if err := validate(req); err != nil {
 		return Result{}, err
 	}
-	span := req.Span.Child("rc-informed")
-	defer span.End()
-	req.Telemetry.Counter("scheduler_place_total").Inc()
-	over := p.Oversubscription
-	if over <= 0 {
-		over = 1.25
-	}
-	load := newServerLoad(req.Topo.NumServers())
 	buckets := make([]resources.Vector, req.Topo.NumServers())
 	for s, c := range req.Topo.Capacity {
-		buckets[s] = resources.OversubscribedCapacity(c, over)
+		buckets[s] = resources.OversubscribedCapacity(c, rcOversubscription)
 	}
-	pk := newPacker(load, req.Topo.Capacity)
-	placement := make([]int, req.Spec.NumContainers())
 	// Buckets fill in arrival order, and arrivals interleave across
 	// tenants — not in the workload's adjacency order. A deterministic
 	// hash shuffle models that (and is what denies bucket policies the
@@ -347,38 +316,15 @@ func (p RCInformed) Place(req Request) (Result, error) {
 	sort.SliceStable(order, func(a, b int) bool {
 		return idHash(req.Spec.Containers[order[a]].ID) < idHash(req.Spec.Containers[order[b]].ID)
 	})
-	for _, i := range order {
-		c := req.Spec.Containers[i]
-		// Reservations come from what the owner asked for at container
-		// creation, not the live demand.
-		reserved := c.Reservation()
-		placed := false
-		// First fit over lowest-id buckets with room: active servers
-		// plus the lowest empty one per class.
-		best := -1
-		for _, s := range pk.candidates() {
-			if load.fits(s, reserved, buckets[s]) && (best < 0 || s < best) {
-				best = s
-			}
-		}
-		if best >= 0 {
-			placement[i] = best
-			pk.place(best, reserved)
-			placed = true
-		}
-		if !placed {
-			return Result{}, fmt.Errorf("%w: container %d (reserved %v)", ErrNoCapacity, i, reserved)
-		}
-	}
-	auditPlaced(req, p.Name(), placement, over)
-	return Result{Placement: placement, TargetUtil: over}, nil
+	// Reservations come from what the owner asked for at container
+	// creation, not the live demand; the key makes it first fit over the
+	// lowest-id bucket with room.
+	return packGreedy(req, p.Name(), order, workload.Container.Reservation, buckets, rcOversubscription,
+		func(s int, _, _ resources.Vector) (int, float64) { return 0, float64(s) })
 }
 
-// idHash is a small integer mix (splitmix64 finalizer) used to derive the
-// deterministic arrival order of RC-Informed's buckets.
+// idHash derives the deterministic arrival order of RC-Informed's buckets:
+// one SplitMix64 step over the container id.
 func idHash(id int) uint64 {
-	x := uint64(id) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return det.Mix64(uint64(id) + 0x9e3779b97f4a7c15)
 }

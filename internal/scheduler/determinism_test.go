@@ -25,7 +25,7 @@ func TestPackerClassOrderCanonical(t *testing.T) {
 	small := resources.New(1600, 32*1024, 1000)
 	// First-seen order is big, small; canonical order is small, big.
 	caps := []resources.Vector{big, small, big, small}
-	p := newPacker(newServerLoad(len(caps)), caps)
+	p := newPacker(caps)
 	if len(p.classes) != 2 {
 		t.Fatalf("got %d classes, want 2", len(p.classes))
 	}
@@ -75,7 +75,7 @@ func repairScenario() (Request, []int) {
 }
 
 // TestRepairAntiAffinityDeterministic replays the same repair 25 times.
-// Before the det.SortedKeys fix in repairAntiAffinityAt, the replica
+// Before the det.SortedKeys fix in repairAntiAffinity, the replica
 // groups were visited in map order and the competing relocations diverged
 // between runs within a few iterations.
 func TestRepairAntiAffinityDeterministic(t *testing.T) {
@@ -83,7 +83,7 @@ func TestRepairAntiAffinityDeterministic(t *testing.T) {
 	var first []int
 	for run := 0; run < 25; run++ {
 		placement := append([]int(nil), initial...)
-		repairAntiAffinity(req, placement, 0.9, "Goldilocks")
+		repairAntiAffinity(req, placement, 0.9, topology.LevelServer, "Goldilocks")
 		if first == nil {
 			first = append([]int(nil), placement...)
 			continue

@@ -25,10 +25,11 @@ type Goldilocks struct {
 	// Energy Efficiency point in every experiment. Defaults to 0.70.
 	TargetUtil float64
 	// Partition tunes the multilevel partitioner; the zero value uses
-	// partition.DefaultOptions. Partitioning dominates the epoch's
-	// placement latency, so Partition.Parallelism (default GOMAXPROCS)
-	// bounds the worker pool the recursive bisection fans out on; results
-	// are identical at every parallelism level for a fixed Seed.
+	// partition.DefaultOptions. Partition.BalanceEps is ignored: Goldilocks
+	// always partitions at balanceEps (0.03). Partitioning dominates the
+	// epoch's placement latency, so Partition.Parallelism (default
+	// GOMAXPROCS) bounds the worker pool the recursive bisection fans out
+	// on; results are identical at every parallelism level for a fixed Seed.
 	Partition partition.Options
 	// FaultDomain is the topology level replicas must not share (§IV-C:
 	// "different fault domains" — a ToR or power-supply failure takes
@@ -38,6 +39,12 @@ type Goldilocks struct {
 	// repair degrades to distinct servers, best effort.
 	FaultDomain topology.Level
 }
+
+// balanceEps is the bisection balance Goldilocks partitions at. Tighter
+// balance than the partitioner's generic default keeps the ceil-based
+// server-budget splits feasible, so the group count stays near the lower
+// bound and servers fill close to the knee.
+const balanceEps = 0.03
 
 // Name implements Policy.
 func (Goldilocks) Name() string { return "Goldilocks" }
@@ -54,12 +61,7 @@ func (p Goldilocks) Place(req Request) (Result, error) {
 	if p.Partition == (partition.Options{}) {
 		p.Partition = partition.DefaultOptions()
 	}
-	if p.Partition.BalanceEps == 0 || p.Partition.BalanceEps == partition.DefaultOptions().BalanceEps {
-		// Tighter balance than the generic default keeps the ceil-based
-		// server-budget splits feasible, so the group count stays near
-		// the lower bound and servers fill close to the knee.
-		p.Partition.BalanceEps = 0.03
-	}
+	p.Partition.BalanceEps = balanceEps
 	if req.Spec.NumContainers() == 0 {
 		return Result{Placement: []int{}, TargetUtil: target}, nil
 	}
@@ -92,8 +94,8 @@ func (p Goldilocks) Place(req Request) (Result, error) {
 		if err == nil {
 			attempt.SetStr("outcome", "placed")
 			attempt.End()
-			repairAntiAffinityAt(req, res.Placement, t, domain, p.Name())
-			auditPlacedGroups(req, p.Name(), res.Placement, t, groupOf)
+			repairAntiAffinity(req, res.Placement, t, domain, p.Name())
+			auditPlaced(req, p.Name(), res.Placement, t, groupOf)
 			if t > target {
 				req.Telemetry.Counter("scheduler_spill_total").Inc()
 			}
@@ -164,20 +166,14 @@ func autoShardCount(explicit, numContainers, pods int) int {
 	return 0
 }
 
-// repairAntiAffinity relocates replicas sharing a server, the legacy
-// server-granularity entry point used by the incremental scheduler.
-func repairAntiAffinity(req Request, placement []int, target float64, policy string) {
-	repairAntiAffinityAt(req, placement, target, topology.LevelServer, policy)
-}
-
-// repairAntiAffinityAt relocates replicas that ended up sharing a fault
+// repairAntiAffinity relocates replicas that ended up sharing a fault
 // domain (possible when tight balance constraints block the min-cut from
 // cutting their negative edge): each extra co-located replica moves to the
-// least loaded feasible server in a domain that hosts no member of its
-// group. When there are fewer domains than replicas, it degrades to
-// distinct servers. Best effort — an infeasible relocation leaves the
-// replica in place.
-func repairAntiAffinityAt(req Request, placement []int, target float64, domain topology.Level, policy string) {
+// least loaded feasible server that is up, in a domain that hosts no
+// member of its group. When there are fewer domains than replicas, it
+// degrades to distinct servers. Best effort — an infeasible relocation
+// leaves the replica in place.
+func repairAntiAffinity(req Request, placement []int, target float64, domain topology.Level, policy string) {
 	byGroup := make(map[string][]int)
 	for i, c := range req.Spec.Containers {
 		if c.ReplicaGroup != "" {
@@ -241,7 +237,7 @@ func repairAntiAffinityAt(req Request, placement []int, target float64, domain t
 			demand := req.Spec.Containers[m].Demand
 			best, bestU := -1, 2.0
 			for s := 0; s < numServers; s++ {
-				if onDomain[dOf(s)] || s == placement[m] {
+				if onDomain[dOf(s)] || s == placement[m] || req.Topo.ServerFailed(s) {
 					continue
 				}
 				if !loads[s].Add(demand).Fits(req.Topo.Capacity[s].PerDimScale(ceil)) {

@@ -1,12 +1,14 @@
 package scheduler
 
 import (
+	"maps"
 	"math"
 	"sort"
 
 	"goldilocks/internal/det"
 	"goldilocks/internal/graph"
 	"goldilocks/internal/resources"
+	"goldilocks/internal/topology"
 )
 
 // IncrementalGoldilocks implements the §IV-C migration-cost extension the
@@ -41,10 +43,7 @@ func (*IncrementalGoldilocks) Name() string { return "Goldilocks-incremental" }
 // checkpointed state, which is what makes crash-resume re-execution
 // byte-identical.
 func (p *IncrementalGoldilocks) Prime(prev map[int]int) {
-	p.prev = make(map[int]int, len(prev))
-	for _, id := range det.SortedKeys(prev) {
-		p.prev[id] = prev[id]
-	}
+	p.prev = maps.Clone(prev)
 }
 
 // Place implements Policy.
@@ -113,15 +112,22 @@ func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
 		arrivals++
 	}
 
-	// Repair: evict from overloaded servers, cheapest-affinity first.
+	// Repair: evict from overloaded servers, cheapest-affinity first, and
+	// empty failed servers entirely (a container that demands nothing
+	// still fits a failed server's zeroed capacity).
 	moved := 0
 	for s := 0; s < numServers; s++ {
-		for !loads[s].Fits(usable[s]) {
-			if moved >= budget {
-				return p.fullFallback(req)
+		failed := req.Topo.ServerFailed(s)
+		for {
+			fits := loads[s].Fits(usable[s])
+			if fits && !failed {
+				break
 			}
 			victim := p.pickVictim(req, g, placement, s)
-			if victim < 0 {
+			if fits && victim < 0 {
+				break // a failed server, now empty
+			}
+			if victim < 0 || moved >= budget {
 				return p.fullFallback(req)
 			}
 			dst := p.bestServer(req, g, placement, loads, usable, victim, s)
@@ -150,8 +156,8 @@ func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
 		moved += p.improve(req, g, placement, loads, usable, budget-moved)
 	}
 
-	repairAntiAffinity(req, placement, target, p.Name())
-	auditPlaced(req, p.Name(), placement, target)
+	repairAntiAffinity(req, placement, target, topology.LevelServer, p.Name())
+	auditPlaced(req, p.Name(), placement, target, nil)
 	p.remember(req, placement)
 	return Result{Placement: placement, TargetUtil: target}, nil
 }
@@ -191,7 +197,7 @@ func (p *IncrementalGoldilocks) bestServer(req Request, g *graph.Graph, placemen
 	d := req.Spec.Containers[v].Demand
 	best, bestAff, bestLoad := -1, math.Inf(-1), math.Inf(1)
 	for s := range loads {
-		if s == exclude {
+		if s == exclude || req.Topo.ServerFailed(s) {
 			continue
 		}
 		if !loads[s].Add(d).Fits(usable[s]) {

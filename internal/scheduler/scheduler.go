@@ -91,31 +91,6 @@ type Policy interface {
 	Place(req Request) (Result, error)
 }
 
-// serverLoad tracks the running allocation on each server during greedy
-// placement.
-type serverLoad struct {
-	used []resources.Vector
-}
-
-func newServerLoad(n int) *serverLoad {
-	return &serverLoad{used: make([]resources.Vector, n)}
-}
-
-func (l *serverLoad) add(server int, d resources.Vector) {
-	l.used[server] = l.used[server].Add(d)
-}
-
-// fits reports whether adding d to the server keeps it within the usable
-// capacity (the physical capacity already scaled by the policy's
-// per-dimension utilization ceilings).
-func (l *serverLoad) fits(server int, d, usable resources.Vector) bool {
-	return l.used[server].Add(d).Fits(usable)
-}
-
-func (l *serverLoad) utilization(server int, capacity resources.Vector) float64 {
-	return l.used[server].MaxUtilization(capacity)
-}
-
 // validate rejects malformed requests before any policy logic runs.
 func validate(req Request) error {
 	if req.Spec == nil || req.Topo == nil {
@@ -132,11 +107,7 @@ func validate(req Request) error {
 // final CPU utilization). groupOf maps container → partition group id, or
 // is nil for the group-free baseline policies. No-op without an auditing
 // session.
-func auditPlaced(req Request, policy string, placement []int, target float64) {
-	auditPlacedGroups(req, policy, placement, target, nil)
-}
-
-func auditPlacedGroups(req Request, policy string, placement []int, target float64, groupOf []int) {
+func auditPlaced(req Request, policy string, placement []int, target float64, groupOf []int) {
 	if !req.Telemetry.Auditing() {
 		return
 	}

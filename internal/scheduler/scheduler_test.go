@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"goldilocks/internal/partition"
@@ -584,4 +585,65 @@ func TestGoldilocksShardedMatchesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlacementComplete(t, req, res)
+}
+
+// TestNoPlacementOnFailedServer gives every policy a testbed whose server
+// 0 is down and a container that demands and reserves nothing. The empty
+// demand fits the failed server's zeroed capacity, so only the failure
+// itself can keep the container off it. The incremental policy is primed
+// with that container and one other already on server 0. Evicting the
+// other (its demand overloads the server) spends the whole migration
+// budget, so consolidation cannot drain server 0 by accident: the repair
+// loop itself must evict the empty container.
+func TestNoPlacementOnFailedServer(t *testing.T) {
+	topo := topology.NewTestbed()
+	if err := topo.FailServer(0); err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.TwitterWorkload(8, 1)
+	c := &spec.Containers[0]
+	c.Demand, c.Reserved, c.App.Demand = resources.Vector{}, resources.Vector{}, resources.Vector{}
+	req := Request{Spec: spec, Topo: topo}
+
+	prev := make(map[int]int)
+	for i, cc := range spec.Containers {
+		prev[cc.ID] = 2 + i%2
+	}
+	prev[spec.Containers[0].ID], prev[spec.Containers[1].ID] = 0, 0
+	inc := &IncrementalGoldilocks{MigrationBudget: 0.10}
+	inc.Prime(prev)
+
+	for _, p := range append(allPolicies(), inc) {
+		res, err := p.Place(req)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		for i, s := range res.Placement {
+			if topo.ServerFailed(s) {
+				t.Errorf("%s placed container %d on failed server %d", p.Name(), i, s)
+			}
+		}
+	}
+}
+
+// TestGoldilocksBalanceFixed pins that Goldilocks partitions at its own
+// fixed balance whatever Partition.BalanceEps says: an explicit default
+// (0.10) and an explicit 0.05 must place exactly like the zero value.
+func TestGoldilocksBalanceFixed(t *testing.T) {
+	req := Request{Spec: workload.MixtureWorkload(160, 3), Topo: topology.NewTestbed()}
+	base, err := Goldilocks{}.Place(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{0.05, 0.10} {
+		p := Goldilocks{Partition: partition.DefaultOptions()}
+		p.Partition.BalanceEps = eps
+		res, err := p.Place(req)
+		if err != nil {
+			t.Fatalf("BalanceEps %.2f: %v", eps, err)
+		}
+		if !reflect.DeepEqual(res.Placement, base.Placement) {
+			t.Errorf("BalanceEps %.2f placed differently from the zero value:\n got %v\nwant %v", eps, res.Placement, base.Placement)
+		}
+	}
 }

@@ -188,7 +188,7 @@ func validateGroup(g Group, numContainers int) error {
 // Eq. 4/5 residual check failed); otherwise the reason is "".
 func tryPlaceGroup(topo *topology.Topology, sub *topology.Node, g Group, targetUtil float64, used []resources.Vector, pl *Placement, explain bool) (bool, string) {
 	// Phase 1: fit containers onto servers (first-fit decreasing over the
-	// subtree's servers, which are already in left-most order).
+	// subtree's servers that are up, which are already in left-most order).
 	order := make([]int, len(g.Containers))
 	for i := range order {
 		order[i] = i
@@ -207,6 +207,9 @@ func tryPlaceGroup(topo *topology.Topology, sub *topology.Node, g Group, targetU
 	for _, m := range order {
 		placedOn := -1
 		for _, s := range sub.ServerIDs {
+			if topo.ServerFailed(s) {
+				continue // a zero demand fits the zeroed capacity
+			}
 			load := used[s].Add(tentative[s]).Add(g.Demands[m])
 			if load.Fits(topo.Capacity[s].PerDimScale(ceil)) {
 				placedOn = s
