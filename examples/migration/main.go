@@ -30,10 +30,9 @@ func main() {
 	runSeries := func(policy goldilocks.Policy) outcome {
 		runner := goldilocks.NewRunner(topo, policy, goldilocks.DefaultRunnerOptions())
 		var out outcome
-		var prev []int
-		var prevSpec *goldilocks.Spec
 		for _, f := range factors {
 			spec := base.Scaled(f)
+			before := runner.Carried(spec)
 			rep, err := runner.RunEpoch(goldilocks.EpochInput{Spec: spec, RPS: 300000 * f})
 			if err != nil {
 				log.Fatalf("%s: %v", policy.Name(), err)
@@ -41,26 +40,20 @@ func main() {
 			out.powerW += rep.TotalPowerW / float64(len(factors))
 			out.tctMS += rep.MeanTCTMS / float64(len(factors))
 
-			res, err := policy.Place(goldilocks.Request{Spec: spec, Topo: topo})
+			// Price the moves the runner just made.
+			moves, err := goldilocks.PlanMigrations(spec, before, runner.Carried(spec))
 			if err != nil {
 				log.Fatal(err)
 			}
-			if prev != nil {
-				moves, err := goldilocks.PlanMigrations(prevSpec, prev, res.Placement)
+			out.moves += len(moves)
+			if len(moves) > 0 {
+				repM, err := goldilocks.SimulateMigrations(topo,
+					goldilocks.ScheduleMigrations(moves), goldilocks.DefaultMigrationOptions())
 				if err != nil {
 					log.Fatal(err)
 				}
-				out.moves += len(moves)
-				if len(moves) > 0 {
-					repM, err := goldilocks.SimulateMigrations(topo,
-						goldilocks.ScheduleMigrations(moves), goldilocks.DefaultMigrationOptions())
-					if err != nil {
-						log.Fatal(err)
-					}
-					out.freezeMS += float64(repM.MeanFreeze.Milliseconds()) * float64(repM.NumMoves)
-				}
+				out.freezeMS += float64(repM.MeanFreeze.Milliseconds()) * float64(repM.NumMoves)
 			}
-			prev, prevSpec = res.Placement, spec
 		}
 		return out
 	}

@@ -211,9 +211,11 @@ func Policies() []Policy {
 }
 
 // NewIncrementalGoldilocks returns the §IV-C migration-cost extension: it
-// keeps the previous epoch's placement and repairs it within a migration
-// budget (a fraction of the population, default 0.15) instead of
-// repartitioning from scratch. Stateful: use one instance per runner.
+// repairs the request's carried placement (Request.Carried, which a Runner
+// fills from the previous epoch) within a migration budget (a fraction of
+// the carried containers, default 0.15) instead of repartitioning from
+// scratch. With nothing carried it partitions like NewGoldilocks. The
+// policy holds no state, so runners may share one instance.
 func NewIncrementalGoldilocks(migrationBudget float64) Policy {
 	return &scheduler.IncrementalGoldilocks{MigrationBudget: migrationBudget}
 }
@@ -277,9 +279,10 @@ type (
 	MigrationPlan = migrate.Plan
 	// MigrationReport summarizes a simulated plan execution.
 	MigrationReport = migrate.Report
-	// MigrationOptions sets how a migration simulation treats stuck
-	// transfers, retries and tracing; the checkpoint/transfer model
-	// itself is fixed.
+	// MigrationOptions sets how a migration simulation retries and traces
+	// transfers; the checkpoint/transfer model itself is fixed. Transfers
+	// that cannot complete are always reported in MigrationReport's
+	// StuckMoves, for ReplanMigrations.
 	MigrationOptions = migrate.Options
 )
 

@@ -195,9 +195,10 @@ type EpochReport struct {
 	// (or exhausted) this epoch.
 	MigrationRetries int
 	// DroppedMigrations counts migrations whose every transfer attempt
-	// failed: the container stays on its source server (or cold-restarts
-	// at the destination when the source is dead) instead of migrating,
-	// and the move is excluded from Migrations/MigrationMB.
+	// failed. When the source server is alive the container stays on it,
+	// so the move is excluded from Migrations/MigrationMB. When the source
+	// is dead the container cold-restarts at the destination, so the move
+	// still counts there (and in RecoveryMigrations when it was displaced).
 	DroppedMigrations int
 }
 
@@ -208,7 +209,7 @@ type Runner struct {
 	opts   Options
 
 	epoch        int
-	prevPlace    map[int]int // container ID → server id, for migration diffs
+	prevPlace    map[int]int // container ID → server id of the last epoch; read through Carried
 	totalEnergyJ float64
 	totalReqs    float64
 
@@ -273,8 +274,9 @@ func (r *Runner) RunEpoch(in EpochInput) (EpochReport, error) {
 		return EpochReport{}, fmt.Errorf("cluster: epoch %d: %w", r.epoch, err)
 	}
 
+	carried := r.Carried(in.Spec)
 	fspan := espan.Child("snapshot-failures")
-	snap := r.snapshotFailures(in.Spec)
+	snap := r.snapshotFailures(in.Spec, carried)
 	fspan.SetInt("failed_servers", snap.failedServers)
 	fspan.SetInt("displaced", len(snap.displaced))
 	fspan.End()
@@ -301,7 +303,7 @@ func (r *Runner) RunEpoch(in EpochInput) (EpochReport, error) {
 	pspan := espan.Child("place")
 	pspan.SetInt("ladder_rung", rung)
 	pregion := rtrace.StartRegion(context.Background(), "cluster.place")
-	res, rejected, err := r.placeWithAdmissionControl(in.Spec, pol, pspan)
+	res, rejected, err := r.placeWithAdmissionControl(in.Spec, carried, pol, pspan)
 	pregion.End()
 	if err != nil {
 		pspan.SetStr("error", err.Error())
@@ -319,13 +321,17 @@ func (r *Runner) RunEpoch(in EpochInput) (EpochReport, error) {
 	// Execute the migration transfers (journaling each wave first). A
 	// transfer that exhausts its retries reverts the container in
 	// res.Placement, so the accounting below sees the effective placement.
-	retries, dropped, err := r.executeMigrations(in, &res, espan)
+	retries, dropped, err := r.executeMigrations(in, carried, &res, espan)
+	if err != nil {
+		return fail(err)
+	}
+	moves, err := migrate.PlanMoves(in.Spec, carried, res.Placement)
 	if err != nil {
 		return fail(err)
 	}
 
 	aspan := espan.Child("account")
-	rep := r.account(in, res)
+	rep := r.account(in, res, moves)
 	aspan.End()
 	rep.LadderRung = rung
 	rep.ModeledSolveMS = modeledMS
@@ -410,18 +416,22 @@ func (r *Runner) TotalEnergyPerRequest() float64 {
 	return r.totalEnergyJ / r.totalReqs
 }
 
-// account derives the epoch report from a placement.
-func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
+// account derives the epoch report from a placement and the moves that
+// reached it from the carried placement, and carries the placement into
+// the next epoch.
+func (r *Runner) account(in EpochInput, res scheduler.Result, moves []migrate.Move) EpochReport {
 	burst := in.Burst
 	if burst <= 0 {
 		burst = 1
 	}
 	numServers := r.topo.NumServers()
 	loads := make([]resources.Vector, numServers)
+	r.prevPlace = make(map[int]int, len(res.Placement))
 	for i, s := range res.Placement {
 		if s < 0 {
-			continue // shed by admission control: runs nowhere
+			continue // shed by admission control: runs nowhere, and restarts if re-admitted
 		}
+		r.prevPlace[in.Spec.Containers[i].ID] = s
 		actual := in.Spec.Containers[i].Demand
 		actual[resources.CPU] *= burst
 		actual[resources.Network] *= burst
@@ -496,7 +506,10 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 	r.totalEnergyJ += energy
 	r.totalReqs += requests
 
-	migrations, migMB := r.migrationDiff(in.Spec, res.Placement)
+	migMB := 0.0
+	for _, m := range moves {
+		migMB += m.ImageMB
+	}
 
 	rep := EpochReport{
 		Epoch:         r.epoch,
@@ -510,7 +523,7 @@ func (r *Runner) account(in EpochInput, res scheduler.Result) EpochReport {
 		MeanTCTMS:     stats.MeanMS,
 		Requests:      requests,
 		EnergyJ:       energy,
-		Migrations:    migrations,
+		Migrations:    len(moves),
 		MigrationMB:   migMB,
 		SLAViolations: slaViolations,
 	}
@@ -687,24 +700,18 @@ func queueWaitFactor(rho, cores float64) float64 {
 	return math.Pow(rho, math.Sqrt(2*(cores+1))) / (cores * (1 - rho))
 }
 
-// migrationDiff compares the new placement with the previous epoch's and
-// returns how many containers moved and the memory they dragged along
-// (checkpoint/restore images, §V).
-func (r *Runner) migrationDiff(spec *workload.Spec, placement []int) (int, float64) {
-	migrations := 0
-	migMB := 0.0
-	next := make(map[int]int, len(placement))
-	for i, s := range placement {
-		if s < 0 {
-			continue // shed: if re-admitted later it restarts, not migrates
-		}
-		id := spec.Containers[i].ID
-		next[id] = s
-		if prev, ok := r.prevPlace[id]; ok && prev != s {
-			migrations++
-			migMB += spec.Containers[i].Demand[resources.Memory]
+// Carried maps the placement the runner carries from the last epoch (the
+// one Snapshot journals) onto spec's container indices: Carried(spec)[i]
+// is the server container i ran on, or −1 when it was not carried. Each
+// epoch derives it once, and the failure snapshot, the policy request,
+// the migration waves and the migration count all read that one slice.
+func (r *Runner) Carried(spec *workload.Spec) []int {
+	carried := make([]int, len(spec.Containers))
+	for i, c := range spec.Containers {
+		carried[i] = -1
+		if s, ok := r.prevPlace[c.ID]; ok && s >= 0 && s < r.topo.NumServers() {
+			carried[i] = s
 		}
 	}
-	r.prevPlace = next
-	return migrations, migMB
+	return carried
 }

@@ -4,7 +4,7 @@
 // Both mechanisms treat the scheduler itself as a failable component. The
 // ladder answers "what if the solver is too slow this epoch?" — instead of
 // blowing the epoch boundary, the runner swaps in a cheaper policy: the
-// configured policy at rung 0, a warm-start repair primed from the carried
+// configured policy at rung 0, a warm-start repair of the carried
 // placement at rung 1, greedy first-fit at rung 2. The cost each rung is
 // judged by is *modeled*, a pure function of workload size (wall clock
 // would make the choice — and therefore the whole report stream —
@@ -99,11 +99,10 @@ func (r *Runner) chooseRung(containers int, factor float64) (rung int, modeledMS
 	return RungGreedy, modeledSolveMS(RungGreedy, containers, servers, factor)
 }
 
-// rungPolicy resolves a ladder rung to a policy. The warm-start rung
-// builds a *fresh* incremental scheduler primed from the carried placement
-// every epoch: the rung stays a pure function of checkpointed state, so a
-// crash-resume re-execution reproduces it exactly (a policy that
-// accumulated private state across epochs would not survive a restart).
+// rungPolicy resolves a ladder rung to a policy. The warm-start rung is
+// the incremental scheduler, which repairs the request's carried
+// placement: the rung is a pure function of checkpointed state, so a
+// crash-resume re-execution reproduces it exactly.
 func (r *Runner) rungPolicy(rung int) scheduler.Policy {
 	switch rung {
 	case RungWarmStart:
@@ -114,9 +113,7 @@ func (r *Runner) rungPolicy(rung int) scheduler.Policy {
 		case *scheduler.Goldilocks:
 			inner = *p
 		}
-		warm := &scheduler.IncrementalGoldilocks{Inner: inner}
-		warm.Prime(r.prevPlace)
-		return warm
+		return &scheduler.IncrementalGoldilocks{Inner: inner}
 	case RungGreedy:
 		return scheduler.MPP{}
 	default:
@@ -132,7 +129,7 @@ func (r *Runner) rungPolicy(rung int) scheduler.Policy {
 // source is dead the container cold-restarts at the destination (there is
 // nothing to go back to). Either way the move counts in the report's
 // DroppedMigrations axis — never silently lost.
-func (r *Runner) executeMigrations(in EpochInput, res *scheduler.Result, espan *telemetry.Span) (retries, dropped int, err error) {
+func (r *Runner) executeMigrations(in EpochInput, carried []int, res *scheduler.Result, espan *telemetry.Span) (retries, dropped int, err error) {
 	pol := r.opts.MigrateRetry
 	if in.MigrationFlakeProb > 0 {
 		pol.FlakeProb = in.MigrationFlakeProb
@@ -142,15 +139,7 @@ func (r *Runner) executeMigrations(in EpochInput, res *scheduler.Result, espan *
 		return 0, 0, nil // nothing to simulate, nothing to journal
 	}
 
-	oldPlace := make([]int, len(in.Spec.Containers))
-	for i, c := range in.Spec.Containers {
-		if s, ok := r.prevPlace[c.ID]; ok {
-			oldPlace[i] = s
-		} else {
-			oldPlace[i] = -1
-		}
-	}
-	moves, err := migrate.PlanMoves(in.Spec, oldPlace, res.Placement)
+	moves, err := migrate.PlanMoves(in.Spec, carried, res.Placement)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -170,10 +159,7 @@ func (r *Runner) executeMigrations(in EpochInput, res *scheduler.Result, espan *
 	// Per-epoch seed: the base seed mixed with the epoch number, so each
 	// epoch draws a fresh stream but replays bit-identically on resume.
 	pol.Seed = det.Mix64(pol.Seed ^ uint64(r.epoch)*0x9E3779B97F4A7C15)
-	mopts := migrate.DefaultOptions()
-	mopts.TolerateStuck = true
-	mopts.Retry = pol
-	mopts.Trace = espan
+	mopts := migrate.Options{Retry: pol, Trace: espan}
 	mrep, err := migrate.Simulate(r.topo, plan, mopts)
 	if err != nil {
 		return 0, 0, err

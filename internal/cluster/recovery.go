@@ -51,15 +51,15 @@ func unitKey(c workload.Container) string {
 
 // snapshotFailures classifies the carried placement against the current
 // (possibly failed) topology.
-func (r *Runner) snapshotFailures(spec *workload.Spec) failureSnapshot {
+func (r *Runner) snapshotFailures(spec *workload.Spec, carried []int) failureSnapshot {
 	snap := failureSnapshot{
 		failedServers: r.topo.NumFailedServers(),
 		survivor:      make(map[string]bool),
 		carried:       make(map[string]bool),
 	}
 	for i, c := range spec.Containers {
-		prev, ok := r.prevPlace[c.ID]
-		if !ok || prev < 0 || prev >= r.topo.NumServers() {
+		prev := carried[i]
+		if prev < 0 {
 			continue
 		}
 		key := unitKey(c)
@@ -87,10 +87,10 @@ func (r *Runner) snapshotFailures(spec *workload.Spec) failureSnapshot {
 // dominant demand, then lowest ID) in growing batches until the remainder
 // fits. Shed containers get placement −1. The empty workload always
 // places, so exhaustion of the ladder is impossible; non-capacity errors
-// propagate.
-func (r *Runner) placeWithAdmissionControl(spec *workload.Spec, pol scheduler.Policy, span *telemetry.Span) (scheduler.Result, []int, error) {
+// propagate. Every attempt repairs from the same carried placement.
+func (r *Runner) placeWithAdmissionControl(spec *workload.Spec, carried []int, pol scheduler.Policy, span *telemetry.Span) (scheduler.Result, []int, error) {
 	sess := r.opts.Telemetry
-	res, err := pol.Place(scheduler.Request{Spec: spec, Topo: r.topo, Telemetry: sess, Span: span})
+	res, err := pol.Place(scheduler.Request{Spec: spec, Topo: r.topo, Carried: carried, Telemetry: sess, Span: span})
 	if err == nil {
 		return res, nil, nil
 	}
@@ -114,7 +114,11 @@ func (r *Runner) placeWithAdmissionControl(spec *workload.Spec, pol scheduler.Po
 			drop[i] = true
 		}
 		sub, kept := subSpec(spec, drop)
-		subRes, err := pol.Place(scheduler.Request{Spec: sub, Topo: r.topo, Telemetry: sess, Span: sspan})
+		subCarried := make([]int, len(kept))
+		for ki, oi := range kept {
+			subCarried[ki] = carried[oi]
+		}
+		subRes, err := pol.Place(scheduler.Request{Spec: sub, Topo: r.topo, Carried: subCarried, Telemetry: sess, Span: sspan})
 		if err != nil {
 			if errors.Is(err, scheduler.ErrNoCapacity) {
 				sspan.SetStr("outcome", "no-fit")

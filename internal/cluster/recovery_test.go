@@ -409,3 +409,92 @@ func TestRecoveryReportDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// placeCounter counts the wrapped policy's successful Place calls.
+type placeCounter struct {
+	scheduler.Policy
+	placed int
+}
+
+func (p *placeCounter) Place(req scheduler.Request) (scheduler.Result, error) {
+	res, err := p.Policy.Place(req)
+	if err == nil {
+		p.placed++
+	}
+	return res, err
+}
+
+// TestRecoveryShedAttemptsRepairFromCarried replays the chaos sweep's
+// MTTF 3.0 cells (burst 1 and 3, at goldilocks-sim's seed 13 and
+// DefaultChaos's seed 29) against the incremental policy. In the epochs
+// where admission control sheds after two or more successful attempts,
+// every attempt must repair from the placement the last epoch ran: the
+// epoch's placement is exactly what the policy makes of the final
+// sub-spec and that placement, not a repair of an earlier attempt's
+// output.
+func TestRecoveryShedAttemptsRepairFromCarried(t *testing.T) {
+	opts := recoveryOptions()
+	const epochs = 12
+	checked := 0
+	for _, seed := range []int64{13, 29} {
+		for cell, burst := range []int{1, 3} {
+			sched, err := chaos.Generate(topology.NewTestbed(), chaos.GenConfig{
+				Seed:              seed + int64(101*(2+cell)), // the sweep's third and fourth cells
+				Horizon:           epochs * opts.EpochLength,
+				MTTF:              3 * opts.EpochLength,
+				MTTR:              opts.EpochLength * 3 / 2,
+				BurstSize:         burst,
+				RackFaultFraction: 0.25,
+				StragglerFraction: 0.15,
+				LinkFaultFraction: 0.10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp := topology.NewTestbed()
+			inj, err := chaos.NewInjector(&sim.Engine{}, tp, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := workload.MixtureWorkload(48, seed)
+			pol := &placeCounter{Policy: &scheduler.IncrementalGoldilocks{}}
+			r := NewRunner(tp, pol, opts)
+			for e := 0; e < epochs; e++ {
+				inj.AdvanceTo(time.Duration(e) * opts.EpochLength)
+				carried := r.Carried(spec)
+				pol.placed = 0
+				rep, err := r.RunEpoch(EpochInput{Spec: spec, RPS: 1000})
+				if err != nil {
+					t.Fatalf("seed %d burst %d epoch %d: %v", seed, burst, e, err)
+				}
+				if rep.AdmissionRejected == 0 || pol.placed < 2 {
+					continue
+				}
+				final := r.Carried(spec)
+				drop := make([]bool, len(final))
+				for i, s := range final {
+					drop[i] = s < 0
+				}
+				sub, kept := subSpec(spec, drop)
+				subCarried := make([]int, len(kept))
+				for ki, oi := range kept {
+					subCarried[ki] = carried[oi]
+				}
+				want, err := (&scheduler.IncrementalGoldilocks{}).Place(scheduler.Request{Spec: sub, Topo: tp, Carried: subCarried})
+				if err != nil {
+					t.Fatalf("seed %d burst %d epoch %d: the final sub-spec does not fit a repair of the carried placement: %v", seed, burst, e, err)
+				}
+				for ki, oi := range kept {
+					if final[oi] != want.Placement[ki] {
+						t.Errorf("seed %d burst %d epoch %d: container %d on server %d, a repair of the carried placement puts it on %d",
+							seed, burst, e, spec.Containers[oi].ID, final[oi], want.Placement[ki])
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 3 {
+		t.Fatalf("%d epochs shed after two successful attempts, want 3: the cells no longer exercise admission control", checked)
+	}
+}

@@ -514,19 +514,14 @@ func (r *Runner) Reconcile(spec *workload.Spec, orphans []journal.Raw) (Reconcil
 	// classify the rollback: live sources take their container back
 	// (dst == source → restart-in-place bucket), dead or absent sources
 	// leave the container to the re-executed epoch (dropped bucket).
-	oldPlace := make([]int, len(spec.Containers))
-	rollback := make([]int, len(spec.Containers))
-	for i, c := range spec.Containers {
-		oldPlace[i] = -1
-		rollback[i] = -1
-		if s, ok := r.prevPlace[c.ID]; ok {
-			oldPlace[i] = s
-			if s >= 0 && !r.topo.ServerFailed(s) {
-				rollback[i] = s
-			}
+	carried := r.Carried(spec)
+	rollback := append([]int(nil), carried...)
+	for i, s := range rollback {
+		if s >= 0 && r.topo.ServerFailed(s) {
+			rollback[i] = -1
 		}
 	}
-	moves, err := migrate.PlanMoves(spec, oldPlace, placement)
+	moves, err := migrate.PlanMoves(spec, carried, placement)
 	if err != nil {
 		return rec, err
 	}

@@ -84,23 +84,12 @@ type ChaosResult struct {
 	Rows []ChaosRow
 }
 
-// chaosPolicies returns fresh policy instances: the four baselines, the
-// paper's policy, and the §IV-C incremental variant (stateful, so it must
-// be rebuilt per run).
-func chaosPolicies() []struct {
-	name string
-	mk   func() scheduler.Policy
-} {
-	return []struct {
-		name string
-		mk   func() scheduler.Policy
-	}{
-		{"E-PVM", func() scheduler.Policy { return scheduler.EPVM{} }},
-		{"mPP", func() scheduler.Policy { return scheduler.MPP{} }},
-		{"Borg", func() scheduler.Policy { return scheduler.Borg{} }},
-		{"RC-Informed", func() scheduler.Policy { return scheduler.RCInformed{} }},
-		{"Goldilocks", func() scheduler.Policy { return scheduler.Goldilocks{} }},
-		{"Goldilocks-incremental", func() scheduler.Policy { return &scheduler.IncrementalGoldilocks{} }},
+// chaosPolicies lists the four baselines, the paper's policy, and the
+// §IV-C incremental variant.
+func chaosPolicies() []scheduler.Policy {
+	return []scheduler.Policy{
+		scheduler.EPVM{}, scheduler.MPP{}, scheduler.Borg{}, scheduler.RCInformed{},
+		scheduler.Goldilocks{}, &scheduler.IncrementalGoldilocks{},
 	}
 }
 
@@ -136,14 +125,14 @@ func Chaos(opts ChaosOptions) (*ChaosResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("chaos: generate mttf=%v burst=%d: %w", mttf, burst, err)
 			}
-			for _, np := range policies {
-				row, err := chaosRun(spec, sched, np.mk(), opts)
+			for _, p := range policies {
+				row, err := chaosRun(spec, sched, p, opts)
 				if err != nil {
-					return nil, fmt.Errorf("chaos: %s mttf=%v burst=%d: %w", np.name, mttf, burst, err)
+					return nil, fmt.Errorf("chaos: %s mttf=%v burst=%d: %w", p.Name(), mttf, burst, err)
 				}
 				row.MTTFEpochs = mttf
 				row.BurstSize = burst
-				row.Scheduler = np.name
+				row.Scheduler = p.Name()
 				res.Rows = append(res.Rows, row)
 			}
 		}

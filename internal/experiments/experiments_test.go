@@ -5,7 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"goldilocks/internal/cluster"
+	"goldilocks/internal/scheduler"
+	"goldilocks/internal/topology"
 	"goldilocks/internal/trace"
+	"goldilocks/internal/workload"
 )
 
 func TestFig1aShape(t *testing.T) {
@@ -480,6 +484,38 @@ func TestExtIncrementalTradeoff(t *testing.T) {
 	r.Print(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("Print produced nothing")
+	}
+}
+
+// TestExtIncrementalMatchesRunnerLoop pins that the incremental row
+// reports the policy the runner ran: a plain runner loop over the same
+// epochs must reproduce its migrations, migrated MB, power and TCT
+// exactly. Pricing the moves must not place a second time.
+func TestExtIncrementalMatchesRunnerLoop(t *testing.T) {
+	opts := DefaultExtIncremental()
+	r, err := ExtIncremental(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.Rows[1]
+	base := workload.TwitterWorkload(opts.Containers, opts.Seed)
+	wiki := workload.WikipediaPattern{MinRPS: 0.45, MaxRPS: 1.0, PeriodMinutes: opts.Epochs}
+	runner := cluster.NewRunner(topology.NewTestbed(),
+		&scheduler.IncrementalGoldilocks{MigrationBudget: opts.MigrationBudget}, cluster.DefaultOptions())
+	want := ExtIncrementalRow{Scheduler: got.Scheduler, TotalFreezeSec: got.TotalFreezeSec, FallbackEpochs: got.FallbackEpochs}
+	for e := 0; e < opts.Epochs; e++ {
+		f := wiki.RPS(e)
+		rep, err := runner.RunEpoch(cluster.EpochInput{Spec: base.Scaled(f), RPS: 300000 * f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.MeanPowerW += rep.TotalPowerW / float64(opts.Epochs)
+		want.MeanTCTMS += rep.MeanTCTMS / float64(opts.Epochs)
+		want.Migrations += rep.Migrations
+		want.MigrationMB += rep.MigrationMB
+	}
+	if got != want {
+		t.Fatalf("incremental row %+v, runner loop %+v", got, want)
 	}
 }
 

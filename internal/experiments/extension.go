@@ -48,7 +48,8 @@ type ExtIncrementalResult struct {
 }
 
 // ExtIncremental drives both schedulers across a diurnal-ish load walk and
-// prices every container move with the CRIU checkpoint/transfer model.
+// prices every container move the runner makes with the CRIU
+// checkpoint/transfer model.
 func ExtIncremental(opts ExtIncrementalOptions) (*ExtIncrementalResult, error) {
 	if opts.Containers <= 0 {
 		opts = DefaultExtIncremental()
@@ -71,11 +72,10 @@ func ExtIncremental(opts ExtIncrementalOptions) (*ExtIncrementalResult, error) {
 		copts.Telemetry = opts.Telemetry
 		runner := cluster.NewRunner(topo, np.policy, copts)
 		row := ExtIncrementalRow{Scheduler: np.name}
-		var prevPlace []int
-		var prevSpec *workload.Spec
 		for e := 0; e < opts.Epochs; e++ {
 			factor := wiki.RPS(e) // reused as a 0.45–1.0 load factor
 			spec := base.Scaled(factor)
+			before := runner.Carried(spec)
 			rep, err := runner.RunEpoch(cluster.EpochInput{Spec: spec, RPS: 300000 * factor})
 			if err != nil {
 				return nil, fmt.Errorf("ext-incremental: %s epoch %d: %w", np.name, e, err)
@@ -87,24 +87,12 @@ func ExtIncremental(opts ExtIncrementalOptions) (*ExtIncrementalResult, error) {
 			if rep.Migrations > int(float64(opts.Containers)*opts.MigrationBudget)+1 {
 				row.FallbackEpochs++
 			}
-			// Price the moves with the CRIU/transfer simulator.
-			if prevPlace != nil && rep.Migrations > 0 {
-				place, err := np.policy.Place(scheduler.Request{Spec: spec, Topo: topo})
-				if err == nil {
-					if moves, err := migrate.PlanMoves(prevSpec, prevPlace, place.Placement); err == nil && len(moves) > 0 {
-						if mrep, err := migrate.Simulate(topo, migrate.Schedule(moves), migrate.DefaultOptions()); err == nil {
-							row.TotalFreezeSec += mrep.MeanFreeze.Seconds() * float64(mrep.NumMoves)
-						}
-					}
-					prevPlace = place.Placement
-				}
-			} else {
-				place, err := np.policy.Place(scheduler.Request{Spec: spec, Topo: topo})
-				if err == nil {
-					prevPlace = place.Placement
-				}
+			// Price the epoch's moves with the CRIU/transfer simulator.
+			mrep, err := migrate.PlanAndSimulate(topo, spec, before, runner.Carried(spec), migrate.DefaultOptions())
+			if err != nil {
+				return nil, fmt.Errorf("ext-incremental: %s epoch %d: pricing moves: %w", np.name, e, err)
 			}
-			prevSpec = spec
+			row.TotalFreezeSec += mrep.MeanFreeze.Seconds() * float64(mrep.NumMoves)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -167,23 +168,36 @@ func escapeDiagnostics(pass *Pass) ([]escapeDiag, error) {
 		return nil, fmt.Errorf("lint: allocfree: go build -gcflags=-m in %s: %v\n%s",
 			pass.Dir, err, stderr.String())
 	}
+	return parseEscapeDiagnostics(pass.Dir, &stderr)
+}
 
+// parseEscapeDiagnostics parses compiler escape diagnostics for the
+// package in dir. The go command replays cached compiler output with the
+// paths of the build that produced it: package-relative ("./csr.go") from
+// the package directory, root-relative ("internal/partition/csr.go") from
+// the module root, or absolute. A diagnostic belongs to the package when
+// its directory is dir or a trailing part of it, and it resolves by base
+// name to the file in dir; diagnostics in other directories are dropped.
+func parseEscapeDiagnostics(dir string, r io.Reader) ([]escapeDiag, error) {
+	dir = filepath.Clean(dir)
 	var out []escapeDiag
 	seen := make(map[escapeDiag]bool)
-	sc := bufio.NewScanner(&stderr)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		m := escapeDiagRe.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		file := m[1]
-		if !filepath.IsAbs(file) {
-			file = filepath.Join(pass.Dir, file)
+		fileDir := filepath.Dir(m[1])
+		inPkg := fileDir == "." || fileDir == dir ||
+			!filepath.IsAbs(fileDir) && strings.HasSuffix(dir, string(filepath.Separator)+fileDir)
+		if !inPkg {
+			continue
 		}
 		line, _ := strconv.Atoi(m[2])
 		col, _ := strconv.Atoi(m[3])
-		d := escapeDiag{file: file, line: line, col: col, msg: m[4]}
+		d := escapeDiag{file: filepath.Join(dir, filepath.Base(m[1])), line: line, col: col, msg: m[4]}
 		// The compiler reports a helper's allocation twice when the helper
 		// is both compiled standalone and inlined at the same position.
 		if !seen[d] {

@@ -48,15 +48,9 @@ const (
 	diskMBps = 400
 )
 
-// Options sets how Simulate treats stuck transfers, retries and tracing;
-// the checkpoint and transfer model itself is fixed (see dirtyFraction).
+// Options sets how Simulate retries and traces transfers; the checkpoint
+// and transfer model itself is fixed (see dirtyFraction).
 type Options struct {
-	// TolerateStuck reports transfers that cannot complete (a failed
-	// server or dead link on the path) in Report.StuckMoves instead of
-	// failing the whole simulation. The caller is expected to Replan the
-	// stuck moves against the surviving topology — they must never be
-	// silently dropped.
-	TolerateStuck bool
 	// Retry configures seeded transient-failure retries with exponential
 	// backoff. The zero value is byte-identical to the legacy
 	// single-attempt path.
@@ -67,8 +61,7 @@ type Options struct {
 	Trace *telemetry.Span
 }
 
-// DefaultOptions returns the zero Options: stuck transfers fail the
-// simulation, no retries, no tracing.
+// DefaultOptions returns the zero Options: no retries, no tracing.
 func DefaultOptions() Options { return Options{} }
 
 // Plan is a set of moves scheduled into waves. Within one wave no server
@@ -89,9 +82,10 @@ type Report struct {
 	MeanFreeze time.Duration
 	MaxFreeze  time.Duration
 	Waves      int
-	// Stuck counts transfers that could not complete; StuckMoves holds
-	// their indices into Plan.Moves, ascending. Only populated under
-	// Options.TolerateStuck — otherwise a stuck transfer is an error.
+	// Stuck counts transfers that could not complete (a failed server or
+	// dead link on the path); StuckMoves holds their indices into
+	// Plan.Moves, ascending. The caller is expected to Replan them against
+	// the surviving topology — they must never be silently dropped.
 	Stuck      int
 	StuckMoves []int
 	// Retries counts failed transfer attempts across the plan (each one
@@ -204,15 +198,8 @@ func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error)
 		}
 		rep.Retries += waveRetries
 		done, stuck := sim.Run()
-		if len(stuck) > 0 {
-			if !opts.TolerateStuck {
-				wspan.SetStr("error", "stuck transfers")
-				wspan.End()
-				return rep, fmt.Errorf("migrate: %d transfers cannot complete (dead links)", len(stuck))
-			}
-			for _, id := range stuck {
-				rep.StuckMoves = append(rep.StuckMoves, ids[id])
-			}
+		for _, id := range stuck {
+			rep.StuckMoves = append(rep.StuckMoves, ids[id])
 		}
 		waveEnd := time.Duration(0)
 		for _, c := range done {
@@ -249,8 +236,7 @@ func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error)
 }
 
 // Replan rebuilds the stuck moves of a plan after mid-transfer failures.
-// stuckMoves indexes plan.Moves (Report.StuckMoves from a tolerant
-// Simulate); newPlace is the fresh placement the policy produced on the
+// stuckMoves indexes plan.Moves (Report.StuckMoves from Simulate); newPlace is the fresh placement the policy produced on the
 // surviving topology, indexed by container. Each stuck move lands in
 // exactly one of the three outcomes — nothing is silently dropped:
 //

@@ -141,15 +141,19 @@ func TestSimulateDeadLink(t *testing.T) {
 	}
 	src := rack.ServerIDs[0]
 	moves := []Move{{Container: 0, From: src, To: 15, ImageMB: 10}}
-	if _, err := Simulate(topo, Schedule(moves), DefaultOptions()); err == nil {
-		t.Fatal("transfer across a dead uplink must error")
+	rep, err := Simulate(topo, Schedule(moves), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Stuck != 1 || len(rep.StuckMoves) != 1 || rep.StuckMoves[0] != 0 {
+		t.Fatalf("Stuck = %d, StuckMoves = %v, want the one move across the dead uplink", rep.Stuck, rep.StuckMoves)
 	}
 }
 
 func TestSimulateTolerateStuckIsolatesFailedTransfers(t *testing.T) {
 	// Two moves off server 0 force two waves; the second wave's destination
-	// fails before its transfer starts. The tolerant simulation must finish
-	// the healthy move and report exactly the stuck one.
+	// fails before its transfer starts. The simulation must finish the
+	// healthy move and report exactly the stuck one.
 	topo := topology.NewTestbed()
 	moves := []Move{
 		{Container: 0, From: 0, To: 1, ImageMB: 1250},
@@ -162,9 +166,7 @@ func TestSimulateTolerateStuckIsolatesFailedTransfers(t *testing.T) {
 	if err := topo.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.TolerateStuck = true
-	rep, err := Simulate(topo, plan, opts)
+	rep, err := Simulate(topo, plan, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +179,6 @@ func TestSimulateTolerateStuckIsolatesFailedTransfers(t *testing.T) {
 	if rep.Duration < 9*time.Second {
 		t.Fatalf("healthy move must still complete, duration = %v", rep.Duration)
 	}
-
-	// Without tolerance the same plan is a hard error.
-	if _, err := Simulate(topo, Schedule(moves), DefaultOptions()); err == nil {
-		t.Fatal("stuck transfer must error when not tolerated")
-	}
 }
 
 func TestReplanDestinationFailureRetargets(t *testing.T) {
@@ -191,9 +188,7 @@ func TestReplanDestinationFailureRetargets(t *testing.T) {
 	if err := topo.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.TolerateStuck = true
-	rep, err := Simulate(topo, plan, opts)
+	rep, err := Simulate(topo, plan, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +225,7 @@ func TestReplanSourceFailureRestartsCold(t *testing.T) {
 	if err := topo.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.TolerateStuck = true
-	rep, err := Simulate(topo, plan, opts)
+	rep, err := Simulate(topo, plan, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +259,7 @@ func TestReplanAccountsEveryStuckMove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := DefaultOptions()
-	opts.TolerateStuck = true
-	rep, err := Simulate(topo, plan, opts)
+	rep, err := Simulate(topo, plan, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,10 +112,11 @@ func TestIncrementalConsolidationDeterministic(t *testing.T) {
 	var first []int
 	for run := 0; run < 10; run++ {
 		inc := &IncrementalGoldilocks{MigrationBudget: 64}
-		if _, err := inc.Place(Request{Spec: full, Topo: topo}); err != nil {
+		prev, err := inc.Place(Request{Spec: full, Topo: topo})
+		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := inc.Place(Request{Spec: shrunk, Topo: topo})
+		res, err := inc.Place(Request{Spec: shrunk, Topo: topo, Carried: prev.Placement[:40]})
 		if err != nil {
 			t.Fatal(err)
 		}

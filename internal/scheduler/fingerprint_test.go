@@ -72,22 +72,35 @@ func fingerprintInputs(t *testing.T) []struct {
 	}
 }
 
-// primedIncremental returns an IncrementalGoldilocks primed with the fresh
-// Goldilocks placement of the even-indexed containers, so the odd ones
-// arrive and the repair, consolidation and improvement passes all run.
+// carriedPolicy places with a fixed carried placement in every request.
+type carriedPolicy struct {
+	Policy
+	carried []int
+}
+
+func (p carriedPolicy) Place(req Request) (Result, error) {
+	req.Carried = p.carried
+	return p.Policy.Place(req)
+}
+
+// primedIncremental returns an IncrementalGoldilocks that carries the
+// fresh Goldilocks placement of the even-indexed containers, so the odd
+// ones arrive and the repair, consolidation and improvement passes all
+// run.
 func primedIncremental(t *testing.T, req Request) Policy {
 	t.Helper()
 	fresh, err := Goldilocks{}.Place(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := make(map[int]int)
-	for i := 0; i < len(fresh.Placement); i += 2 {
-		prev[req.Spec.Containers[i].ID] = fresh.Placement[i]
+	carried := make([]int, len(fresh.Placement))
+	for i := range carried {
+		carried[i] = -1
+		if i%2 == 0 {
+			carried[i] = fresh.Placement[i]
+		}
 	}
-	inc := &IncrementalGoldilocks{MigrationBudget: 0.10}
-	inc.Prime(prev)
-	return inc
+	return carriedPolicy{&IncrementalGoldilocks{MigrationBudget: 0.10}, carried}
 }
 
 // TestBaselinePlacementFingerprints pins the exact placement every policy

@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"maps"
 	"math"
 	"sort"
 
@@ -13,38 +12,23 @@ import (
 
 // IncrementalGoldilocks implements the §IV-C migration-cost extension the
 // paper defers to future work: instead of repartitioning from scratch
-// every epoch (which may move many containers), it keeps the previous
-// placement and repairs it — placing arrivals next to their communication
-// partners, evicting the cheapest containers from servers pushed over the
-// Peak Energy Efficiency target, and spending at most a migration budget
-// per epoch. When the budget cannot restore feasibility it falls back to a
-// full repartition (and the epoch pays the migration bill).
-//
-// The type is stateful across epochs and therefore NOT safe for concurrent
-// use; give each cluster runner its own instance.
+// every epoch (which may move many containers), it repairs the carried
+// placement (Request.Carried) — placing arrivals next to their
+// communication partners, evicting the cheapest containers from servers
+// pushed over the Peak Energy Efficiency target, and spending at most a
+// migration budget per epoch. When nothing is carried, or the budget
+// cannot restore feasibility, it falls back to a full repartition (and the
+// epoch pays the migration bill).
 type IncrementalGoldilocks struct {
 	// Inner provides the full-partition fallback and the packing target.
 	Inner Goldilocks
-	// MigrationBudget is the maximum fraction of previously-placed
-	// containers that may move per epoch (default 0.15, minimum one
-	// container).
+	// MigrationBudget is the maximum fraction of carried containers that
+	// may move per epoch (default 0.15, minimum one container).
 	MigrationBudget float64
-
-	prev map[int]int // container ID → server from the previous epoch
 }
 
 // Name implements Policy.
 func (*IncrementalGoldilocks) Name() string { return "Goldilocks-incremental" }
-
-// Prime seeds the carried placement ahead of the first Place call, as if
-// the previous epoch had produced it. The cluster runner's degradation
-// ladder uses this to warm-start a *fresh* instance from the journaled
-// placement each epoch: the warm rung stays a pure function of
-// checkpointed state, which is what makes crash-resume re-execution
-// byte-identical.
-func (p *IncrementalGoldilocks) Prime(prev map[int]int) {
-	p.prev = maps.Clone(prev)
-}
 
 // Place implements Policy.
 func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
@@ -62,33 +46,29 @@ func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
 		budgetFrac = 0.15
 	}
 
-	// First epoch (or nothing carried over): full partition.
-	if len(p.prev) == 0 {
-		res, err := p.Inner.Place(req)
-		if err != nil {
-			return Result{}, err
-		}
-		p.remember(req, res.Placement)
-		return res, nil
-	}
-
-	g := req.Spec.Graph()
-	n := req.Spec.NumContainers()
 	numServers := req.Topo.NumServers()
-	usable := usableCapacities(req.Topo.Capacity, target)
-
+	n := req.Spec.NumContainers()
 	placement := make([]int, n)
 	loads := make([]resources.Vector, numServers)
 	carried := 0
 	for i, c := range req.Spec.Containers {
-		if s, ok := p.prev[c.ID]; ok && s >= 0 && s < numServers {
+		placement[i] = -1
+		if len(req.Carried) == 0 {
+			continue
+		}
+		if s := req.Carried[i]; s >= 0 && s < numServers {
 			placement[i] = s
 			loads[s] = loads[s].Add(c.Demand)
 			carried++
-		} else {
-			placement[i] = -1
 		}
 	}
+	// Nothing carried over (the first epoch): full partition.
+	if carried == 0 {
+		return p.Inner.Place(req)
+	}
+	g := req.Spec.Graph()
+	usable := usableCapacities(req.Topo.Capacity, target)
+
 	budget := int(math.Ceil(budgetFrac * float64(carried)))
 	if budget < 1 {
 		budget = 1
@@ -105,7 +85,7 @@ func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
 		}
 		s := p.bestServer(req, g, placement, loads, usable, i, -1)
 		if s < 0 {
-			return p.fullFallback(req)
+			return p.Inner.Place(req)
 		}
 		placement[i] = s
 		loads[s] = loads[s].Add(req.Spec.Containers[i].Demand)
@@ -128,11 +108,11 @@ func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
 				break // a failed server, now empty
 			}
 			if victim < 0 || moved >= budget {
-				return p.fullFallback(req)
+				return p.Inner.Place(req)
 			}
 			dst := p.bestServer(req, g, placement, loads, usable, victim, s)
 			if dst < 0 {
-				return p.fullFallback(req)
+				return p.Inner.Place(req)
 			}
 			d := req.Spec.Containers[victim].Demand
 			loads[s] = loads[s].Sub(d)
@@ -158,25 +138,7 @@ func (p *IncrementalGoldilocks) Place(req Request) (Result, error) {
 
 	repairAntiAffinity(req, placement, target, topology.LevelServer, p.Name())
 	auditPlaced(req, p.Name(), placement, target, nil)
-	p.remember(req, placement)
 	return Result{Placement: placement, TargetUtil: target}, nil
-}
-
-// fullFallback reruns the complete partitioning and records it.
-func (p *IncrementalGoldilocks) fullFallback(req Request) (Result, error) {
-	res, err := p.Inner.Place(req)
-	if err != nil {
-		return Result{}, err
-	}
-	p.remember(req, res.Placement)
-	return res, nil
-}
-
-func (p *IncrementalGoldilocks) remember(req Request, placement []int) {
-	p.prev = make(map[int]int, len(placement))
-	for i, s := range placement {
-		p.prev[req.Spec.Containers[i].ID] = s
-	}
 }
 
 // affinity returns the sum of (signed) edge weights between container v

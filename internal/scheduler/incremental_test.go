@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"reflect"
 	"testing"
 
 	"goldilocks/internal/topology"
@@ -22,6 +23,24 @@ func countMoves(spec *workload.Spec, a, b []int) int {
 	return moves
 }
 
+// carry maps a placement of prev onto spec's containers by ID, the way the
+// cluster runner carries a placement into the next epoch (−1 for
+// arrivals).
+func carry(prev *workload.Spec, placement []int, spec *workload.Spec) []int {
+	byID := make(map[int]int, len(placement))
+	for i, s := range placement {
+		byID[prev.Containers[i].ID] = s
+	}
+	out := make([]int, len(spec.Containers))
+	for i, c := range spec.Containers {
+		out[i] = -1
+		if s, ok := byID[c.ID]; ok {
+			out[i] = s
+		}
+	}
+	return out
+}
+
 func TestIncrementalStableWorkloadZeroMigrations(t *testing.T) {
 	topo := topology.NewTestbed()
 	spec := workload.TwitterWorkload(120, 1)
@@ -30,7 +49,7 @@ func TestIncrementalStableWorkloadZeroMigrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := p.Place(Request{Spec: spec, Topo: topo})
+	second, err := p.Place(Request{Spec: spec, Topo: topo, Carried: first.Placement})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +68,7 @@ func TestIncrementalRespectsBudgetOnMildChange(t *testing.T) {
 	}
 	// Mild load change: +15% CPU/network.
 	bumped := base.Scaled(1.15)
-	second, err := p.Place(Request{Spec: bumped, Topo: topo})
+	second, err := p.Place(Request{Spec: bumped, Topo: topo, Carried: first.Placement})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +85,8 @@ func TestIncrementalPlacesArrivalsNearPartners(t *testing.T) {
 	topo := topology.NewTestbed()
 	base := workload.TwitterWorkload(60, 2)
 	p := &IncrementalGoldilocks{}
-	if _, err := p.Place(Request{Spec: base, Topo: topo}); err != nil {
+	first, err := p.Place(Request{Spec: base, Topo: topo})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Add one cache container chatting heavily with container 0.
@@ -76,7 +96,7 @@ func TestIncrementalPlacesArrivalsNearPartners(t *testing.T) {
 		}),
 		Flows: append(append([]workload.Flow{}, base.Flows...), workload.Flow{A: 0, B: 60, Count: 5000}),
 	}
-	res, err := p.Place(Request{Spec: grown, Topo: topo})
+	res, err := p.Place(Request{Spec: grown, Topo: topo, Carried: carry(base, first.Placement, grown)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +110,12 @@ func TestIncrementalHandlesDepartures(t *testing.T) {
 	topo := topology.NewTestbed()
 	p := &IncrementalGoldilocks{}
 	big := workload.TwitterWorkload(120, 3)
-	if _, err := p.Place(Request{Spec: big, Topo: topo}); err != nil {
+	first, err := p.Place(Request{Spec: big, Topo: topo})
+	if err != nil {
 		t.Fatal(err)
 	}
 	small := workload.TwitterWorkload(80, 3)
-	res, err := p.Place(Request{Spec: small, Topo: topo})
+	res, err := p.Place(Request{Spec: small, Topo: topo, Carried: carry(big, first.Placement, small)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +129,14 @@ func TestIncrementalFallsBackWhenBudgetInsufficient(t *testing.T) {
 	topo := topology.NewTestbed()
 	p := &IncrementalGoldilocks{MigrationBudget: 0.01} // one move allowed
 	base := workload.TwitterWorkload(120, 4)
-	if _, err := p.Place(Request{Spec: base, Topo: topo}); err != nil {
+	first, err := p.Place(Request{Spec: base, Topo: topo})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Triple the load: wholesale reshuffle needed; the fallback must
 	// produce a feasible placement regardless of budget.
 	tripled := base.Scaled(3.0)
-	res, err := p.Place(Request{Spec: tripled, Topo: topo})
+	res, err := p.Place(Request{Spec: tripled, Topo: topo, Carried: first.Placement})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +157,7 @@ func TestIncrementalFarFewerMigrationsThanFresh(t *testing.T) {
 	incrMoves, freshMoves := 0, 0
 	for _, f := range factors {
 		spec := base.Scaled(f)
-		ri, err := incr.Place(Request{Spec: spec, Topo: topo})
+		ri, err := incr.Place(Request{Spec: spec, Topo: topo, Carried: prevIncr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,5 +179,38 @@ func TestIncrementalFarFewerMigrationsThanFresh(t *testing.T) {
 func TestIncrementalName(t *testing.T) {
 	if (&IncrementalGoldilocks{}).Name() != "Goldilocks-incremental" {
 		t.Fatal("name changed")
+	}
+}
+
+func TestIncrementalNothingCarriedRepartitions(t *testing.T) {
+	topo := topology.NewTestbed()
+	spec := workload.TwitterWorkload(120, 6)
+	fresh, err := Goldilocks{}.Place(Request{Spec: spec, Topo: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every carried container departed: only arrivals remain.
+	none := make([]int, len(spec.Containers))
+	for i := range none {
+		none[i] = -1
+	}
+	for _, carried := range [][]int{nil, none} {
+		res, err := (&IncrementalGoldilocks{}).Place(Request{Spec: spec, Topo: topo, Carried: carried})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Placement, fresh.Placement) {
+			t.Fatalf("carried %v: placement differs from a full repartition", carried)
+		}
+	}
+}
+
+func TestCarriedLengthValidated(t *testing.T) {
+	topo := topology.NewTestbed()
+	spec := workload.TwitterWorkload(8, 1)
+	for _, p := range append(allPolicies(), &IncrementalGoldilocks{}) {
+		if _, err := p.Place(Request{Spec: spec, Topo: topo, Carried: make([]int, 7)}); err == nil {
+			t.Errorf("%s accepted a carried placement shorter than the spec", p.Name())
+		}
 	}
 }

@@ -31,6 +31,12 @@ var ErrNoCapacity = errors.New("scheduler: no server can host container")
 type Request struct {
 	Spec *workload.Spec
 	Topo *topology.Topology
+	// Carried is the placement the workload ran on last epoch, indexed like
+	// Spec.Containers: Carried[i] is container i's server, or −1 when it
+	// was not carried (an arrival). Empty means nothing is carried; a
+	// server out of range counts as not carried. Only policies that repair
+	// instead of repartitioning read it.
+	Carried []int
 	// Telemetry, when non-nil, receives placement metrics and per-container
 	// audit decisions (the "why" records behind goldilocks-sim -explain).
 	Telemetry *telemetry.Session
@@ -98,6 +104,9 @@ func validate(req Request) error {
 	}
 	if req.Topo.NumServers() == 0 && req.Spec.NumContainers() > 0 {
 		return fmt.Errorf("scheduler: %d containers but no servers", req.Spec.NumContainers())
+	}
+	if n := len(req.Carried); n != 0 && n != req.Spec.NumContainers() {
+		return fmt.Errorf("scheduler: carried placement covers %d containers, spec has %d", n, req.Spec.NumContainers())
 	}
 	return nil
 }

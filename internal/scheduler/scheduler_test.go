@@ -590,8 +590,8 @@ func TestGoldilocksShardedMatchesFlat(t *testing.T) {
 // TestNoPlacementOnFailedServer gives every policy a testbed whose server
 // 0 is down and a container that demands and reserves nothing. The empty
 // demand fits the failed server's zeroed capacity, so only the failure
-// itself can keep the container off it. The incremental policy is primed
-// with that container and one other already on server 0. Evicting the
+// itself can keep the container off it. The incremental policy carries
+// that container and one other on server 0. Evicting the
 // other (its demand overloads the server) spends the whole migration
 // budget, so consolidation cannot drain server 0 by accident: the repair
 // loop itself must evict the empty container.
@@ -605,13 +605,12 @@ func TestNoPlacementOnFailedServer(t *testing.T) {
 	c.Demand, c.Reserved, c.App.Demand = resources.Vector{}, resources.Vector{}, resources.Vector{}
 	req := Request{Spec: spec, Topo: topo}
 
-	prev := make(map[int]int)
-	for i, cc := range spec.Containers {
-		prev[cc.ID] = 2 + i%2
+	carried := make([]int, len(spec.Containers))
+	for i := range carried {
+		carried[i] = 2 + i%2
 	}
-	prev[spec.Containers[0].ID], prev[spec.Containers[1].ID] = 0, 0
-	inc := &IncrementalGoldilocks{MigrationBudget: 0.10}
-	inc.Prime(prev)
+	carried[0], carried[1] = 0, 0
+	inc := carriedPolicy{&IncrementalGoldilocks{MigrationBudget: 0.10}, carried}
 
 	for _, p := range append(allPolicies(), inc) {
 		res, err := p.Place(req)
