@@ -33,6 +33,14 @@ SCALING_COUNT ?= 2
 # shaped amortization breaking down).
 ALLOCS_CEILING_100K ?= 200000
 
+# Allocation ceiling for the netsim row (see allocs-guard): 200 flows on a
+# k=8 fat tree, BenchmarkNetsim200Flows. Two 5-sample runs had medians of
+# 122,624 and 122,321 allocs/op (2 CPUs, go1.24.0; the spread comes from
+# the benchmark's flow generator, which is not reset between iterations).
+# computeRates, the per-event rate allocation, makes 99% of them. The
+# ceiling leaves ~30% headroom over the median.
+ALLOCS_CEILING_NETSIM ?= 160000
+
 .PHONY: all build test race bench bench-json telemetry-overhead allocs-guard scaling-bench scaling-guard crash-replay-guard inspect-guard fmt fmt-check vet lint fuzz-smoke ci
 
 all: build test
@@ -109,7 +117,9 @@ telemetry-overhead:
 # over the worst measured median (152 allocs/op serial on mixture-1k; 946
 # at p8 on mixture-5k, whose rows guard the cross-subproblem arena reuse —
 # the tree itself is ~5x larger); an accidental per-level or per-vertex
-# allocation blows past it immediately. CI runs this as a blocking step.
+# allocation blows past it immediately. The netsim row (its own run:
+# BENCH_PATTERN skips it) guards the flow simulator the migration waves
+# and fig13 run on. CI runs this as a blocking step.
 allocs-guard:
 	@[ -f bench.txt ] || $(MAKE) bench
 	$(GO) run ./cmd/benchjson -guard 'BenchmarkPartitionAllocs/mixture' \
@@ -119,6 +129,10 @@ allocs-guard:
 		-benchtime 1x -count 1 -run '^$$' -timeout 1h . | tee bench_allocs_large.txt
 	$(GO) run ./cmd/benchjson -guard 'BenchmarkPartitionAllocs/powerlaw-100k' \
 		-metric allocs -max-allocs $(ALLOCS_CEILING_100K) -current bench_allocs_large.txt
+	$(GO) test -bench 'BenchmarkNetsim200Flows' -benchmem \
+		-count $(BENCH_COUNT) -run '^$$' ./internal/netsim | tee bench_allocs_netsim.txt
+	$(GO) run ./cmd/benchjson -guard 'BenchmarkNetsim200Flows' \
+		-metric allocs -max-allocs $(ALLOCS_CEILING_NETSIM) -current bench_allocs_netsim.txt
 
 # Crash-recovery contract (blocking in CI): every-record-boundary
 # crash/resume byte-identity under the race detector, plus a CLI-level

@@ -72,7 +72,7 @@ func TestPartitionFacade(t *testing.T) {
 }
 
 func TestNetSimFacade(t *testing.T) {
-	s := NewNetSimulator(NewTestbed(), DefaultNetSimOptions())
+	s := NewNetSimulator(NewTestbed())
 	s.Inject(0, 0, 5, 1e6)
 	s.Inject(10*time.Millisecond, 3, 9, 2e6)
 	done, stuck := s.Run()

@@ -47,12 +47,9 @@ func main() {
 			}
 			out.moves += len(moves)
 			if len(moves) > 0 {
-				repM, err := goldilocks.SimulateMigrations(topo,
-					goldilocks.ScheduleMigrations(moves), goldilocks.DefaultMigrationOptions())
-				if err != nil {
-					log.Fatal(err)
-				}
-				out.freezeMS += float64(repM.MeanFreeze.Milliseconds()) * float64(repM.NumMoves)
+				repM := goldilocks.SimulateMigrations(topo,
+					goldilocks.ScheduleMigrations(moves), goldilocks.MigrationOptions{})
+				out.freezeMS += repM.TotalFreeze.Seconds() * 1000
 			}
 		}
 		return out

@@ -120,8 +120,6 @@ type (
 	VirtualCluster = vc.Group
 	// NetSimulator is the flow-level network simulator.
 	NetSimulator = netsim.Simulator
-	// NetSimOptions tunes the flow-level simulator.
-	NetSimOptions = netsim.Options
 	// SearchTraceOptions parameterizes the synthetic Microsoft search
 	// trace generator.
 	SearchTraceOptions = trace.SearchTraceOptions
@@ -245,13 +243,9 @@ func PlaceVirtualClusters(topo *Topology, numContainers int, groups []VirtualClu
 	return vc.Place(topo, numContainers, groups, targetUtil)
 }
 
-// NewNetSimulator builds a flow-level network simulator over the topology.
-func NewNetSimulator(topo *Topology, opts NetSimOptions) *NetSimulator {
-	return netsim.New(topo, opts)
-}
-
-// DefaultNetSimOptions matches a 10G-class fabric.
-func DefaultNetSimOptions() NetSimOptions { return netsim.DefaultOptions() }
+// NewNetSimulator builds a flow-level network simulator over the
+// topology, modeling a 10G-class fabric.
+func NewNetSimulator(topo *Topology) *NetSimulator { return netsim.New(topo, nil) }
 
 // Measurement pipeline (§V): reconstruct the container graph from
 // observed flows and utilization samples.
@@ -296,14 +290,11 @@ func PlanMigrations(spec *Spec, oldPlace, newPlace []int) ([]MigrationMove, erro
 func ScheduleMigrations(moves []MigrationMove) *MigrationPlan { return migrate.Schedule(moves) }
 
 // SimulateMigrations executes a plan's transfers over the topology with
-// the flow-level simulator and reports freeze times and duration.
-func SimulateMigrations(topo *Topology, plan *MigrationPlan, opts MigrationOptions) (MigrationReport, error) {
+// the flow-level simulator and reports freeze times and duration. The
+// zero MigrationOptions is the plain run: no retries, no tracing.
+func SimulateMigrations(topo *Topology, plan *MigrationPlan, opts MigrationOptions) MigrationReport {
 	return migrate.Simulate(topo, plan, opts)
 }
-
-// DefaultMigrationOptions returns the plain migration run: the model
-// always simulates CRIU checkpoints to local SSD moved with rsync.
-func DefaultMigrationOptions() MigrationOptions { return migrate.DefaultOptions() }
 
 // Crash recovery (the journal subsystem): every epoch is journaled as
 // intent records before it is applied and sealed by a commit record, so a

@@ -318,14 +318,16 @@ func (r *Runner) RunEpoch(in EpochInput) (EpochReport, error) {
 		return fail(err)
 	}
 
-	// Execute the migration transfers (journaling each wave first). A
-	// transfer that exhausts its retries reverts the container in
-	// res.Placement, so the accounting below sees the effective placement.
-	retries, dropped, err := r.executeMigrations(in, carried, &res, espan)
+	// Diff the carried and new placements once, then execute the transfers
+	// (journaling each wave first). A transfer that exhausts its retries
+	// reverts the container in res.Placement, and executeMigrations returns
+	// only the moves that stood, so the accounting below sees the
+	// effective placement.
+	moves, err := migrate.PlanMoves(in.Spec, carried, res.Placement)
 	if err != nil {
 		return fail(err)
 	}
-	moves, err := migrate.PlanMoves(in.Spec, carried, res.Placement)
+	moves, retries, dropped, err := r.executeMigrations(in, moves, &res, espan)
 	if err != nil {
 		return fail(err)
 	}

@@ -123,64 +123,52 @@ func (r *Runner) rungPolicy(rung int) scheduler.Policy {
 
 // executeMigrations journals the epoch's migration waves and, when a
 // retry policy is armed, simulates the transfers with seeded
-// retry/backoff. A transfer that exhausts its attempts is resolved
-// deterministically: if the source server is alive the container reverts
-// to it in res.Placement (the migration simply did not happen); if the
-// source is dead the container cold-restarts at the destination (there is
-// nothing to go back to). Either way the move counts in the report's
-// DroppedMigrations axis — never silently lost.
-func (r *Runner) executeMigrations(in EpochInput, carried []int, res *scheduler.Result, espan *telemetry.Span) (retries, dropped int, err error) {
+// retry/backoff. It returns the moves that stood. A transfer that
+// exhausts its attempts is resolved deterministically: if the source
+// server is alive the container reverts to it in res.Placement (the
+// migration simply did not happen, so its move is dropped from the
+// result); if the source is dead the container cold-restarts at the
+// destination (there is nothing to go back to, and the move stands).
+// Either way the move counts in the report's DroppedMigrations axis —
+// never silently lost.
+func (r *Runner) executeMigrations(in EpochInput, moves []migrate.Move, res *scheduler.Result, espan *telemetry.Span) (stood []migrate.Move, retries, dropped int, err error) {
 	pol := r.opts.MigrateRetry
 	if in.MigrationFlakeProb > 0 {
 		pol.FlakeProb = in.MigrationFlakeProb
 	}
 	armed := pol.FlakeProb > 0 || pol.MaxAttempts > 1
-	if !armed && r.opts.Journal == nil {
-		return 0, 0, nil // nothing to simulate, nothing to journal
-	}
-
-	moves, err := migrate.PlanMoves(in.Spec, carried, res.Placement)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(moves) == 0 {
-		return 0, 0, nil
+	if len(moves) == 0 || (!armed && r.opts.Journal == nil) {
+		return moves, 0, 0, nil // nothing to simulate, nothing to journal
 	}
 	plan := migrate.Schedule(moves)
 	for wi, wave := range plan.Waves {
 		if err := r.journalWave(wi, plan, wave); err != nil {
-			return 0, 0, err
+			return nil, 0, 0, err
 		}
 	}
 	if !armed {
-		return 0, 0, nil // intent journaled; legacy diff accounting stands
+		return moves, 0, 0, nil // intent journaled; every move stands
 	}
 
 	// Per-epoch seed: the base seed mixed with the epoch number, so each
 	// epoch draws a fresh stream but replays bit-identically on resume.
 	pol.Seed = det.Mix64(pol.Seed ^ uint64(r.epoch)*0x9E3779B97F4A7C15)
 	mopts := migrate.Options{Retry: pol, Trace: espan}
-	mrep, err := migrate.Simulate(r.topo, plan, mopts)
-	if err != nil {
-		return 0, 0, err
-	}
+	mrep := migrate.Simulate(r.topo, plan, mopts)
 	retries = mrep.Retries
 
 	// Stuck transfers (dead links mid-path) get one replan round against
 	// the surviving fabric: re-transferable moves re-simulate, dead-source
-	// moves restart cold, shed containers are already accounted.
+	// moves restart cold, shed containers are already accounted. A stuck
+	// transfer reached the network, and retry draws depend only on (seed,
+	// container, attempt), so its replan cannot exhaust.
 	if len(mrep.StuckMoves) > 0 {
 		replanned, _, _, rerr := migrate.Replan(r.topo, plan, mrep.StuckMoves, res.Placement)
 		if rerr != nil {
-			return retries, 0, rerr
+			return nil, retries, 0, rerr
 		}
 		if len(replanned.Moves) > 0 {
-			rrep, rerr := migrate.Simulate(r.topo, replanned, mopts)
-			if rerr != nil {
-				return retries, 0, rerr
-			}
-			retries += rrep.Retries
-			mrep.ExhaustedMoves = append(mrep.ExhaustedMoves, remapExhausted(plan, replanned, rrep.ExhaustedMoves)...)
+			retries += migrate.Simulate(r.topo, replanned, mopts).Retries
 		}
 	}
 
@@ -206,23 +194,15 @@ func (r *Runner) executeMigrations(in EpochInput, carried []int, res *scheduler.
 	}
 	sess.Counter("cluster_migration_retries_total").Add(int64(retries))
 	sess.Counter("cluster_dropped_migrations_total").Add(int64(dropped))
-	return retries, dropped, nil
-}
-
-// remapExhausted translates exhausted-move indices of a replanned plan
-// back to indices into the original plan's moves (matching by container).
-func remapExhausted(orig, replanned *migrate.Plan, exhausted []int) []int {
-	byContainer := make(map[int]int, len(orig.Moves))
-	for i, m := range orig.Moves {
-		byContainer[m.Container] = i
+	if dropped == 0 {
+		return moves, retries, 0, nil
 	}
-	var out []int
-	for _, ri := range exhausted {
-		if oi, ok := byContainer[replanned.Moves[ri].Container]; ok {
-			out = append(out, oi)
+	for _, m := range moves {
+		if res.Placement[m.Container] == m.To {
+			stood = append(stood, m) // not reverted to its source
 		}
 	}
-	return out
+	return stood, retries, dropped, nil
 }
 
 // Epoch returns the next epoch the runner will execute.

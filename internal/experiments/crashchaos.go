@@ -128,13 +128,13 @@ type CrashChaosResult struct {
 // refuses it.
 func crashChaosConfigHash(o CrashChaosOptions) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "crashchaos|%d|%d|%v|%g|%g|%d|%g|%g|%g|%g|%v|%d|%v|%v|%g|%d",
+	fmt.Fprintf(h, "crashchaos|%d|%d|%v|%g|%g|%d|%g|%g|%g|%g|%v|%d|%v|%g|%d",
 		o.Containers, o.Seed, o.EpochLength,
 		o.MTTFEpochs, o.MTTREpochs, o.BurstSize,
 		o.RackFaultFraction, o.LinkFaultFraction,
 		o.SolveStragglerFraction, o.MigrationFlakeFraction,
 		o.SolveDeadline,
-		o.Retry.MaxAttempts, o.Retry.BaseBackoff, o.Retry.MaxBackoff, o.Retry.FlakeProb, o.Retry.Seed)
+		o.Retry.MaxAttempts, o.Retry.BaseBackoff, o.Retry.FlakeProb, o.Retry.Seed)
 	return h.Sum64()
 }
 

@@ -502,7 +502,7 @@ func TestExtIncrementalMatchesRunnerLoop(t *testing.T) {
 	wiki := workload.WikipediaPattern{MinRPS: 0.45, MaxRPS: 1.0, PeriodMinutes: opts.Epochs}
 	runner := cluster.NewRunner(topology.NewTestbed(),
 		&scheduler.IncrementalGoldilocks{MigrationBudget: opts.MigrationBudget}, cluster.DefaultOptions())
-	want := ExtIncrementalRow{Scheduler: got.Scheduler, TotalFreezeSec: got.TotalFreezeSec, FallbackEpochs: got.FallbackEpochs}
+	want := ExtIncrementalRow{Scheduler: got.Scheduler, TotalFreezeSec: got.TotalFreezeSec}
 	for e := 0; e < opts.Epochs; e++ {
 		f := wiki.RPS(e)
 		rep, err := runner.RunEpoch(cluster.EpochInput{Spec: base.Scaled(f), RPS: 300000 * f})

@@ -38,7 +38,6 @@ type ExtIncrementalRow struct {
 	TotalFreezeSec float64
 	MeanPowerW     float64
 	MeanTCTMS      float64
-	FallbackEpochs int // epochs where repair gave up and repartitioned
 }
 
 // ExtIncrementalResult compares the two schedulers.
@@ -84,15 +83,12 @@ func ExtIncremental(opts ExtIncrementalOptions) (*ExtIncrementalResult, error) {
 			row.MeanTCTMS += rep.MeanTCTMS / float64(opts.Epochs)
 			row.Migrations += rep.Migrations
 			row.MigrationMB += rep.MigrationMB
-			if rep.Migrations > int(float64(opts.Containers)*opts.MigrationBudget)+1 {
-				row.FallbackEpochs++
-			}
 			// Price the epoch's moves with the CRIU/transfer simulator.
-			mrep, err := migrate.PlanAndSimulate(topo, spec, before, runner.Carried(spec), migrate.DefaultOptions())
+			moves, err := migrate.PlanMoves(spec, before, runner.Carried(spec))
 			if err != nil {
 				return nil, fmt.Errorf("ext-incremental: %s epoch %d: pricing moves: %w", np.name, e, err)
 			}
-			row.TotalFreezeSec += mrep.MeanFreeze.Seconds() * float64(mrep.NumMoves)
+			row.TotalFreezeSec += migrate.Simulate(topo, migrate.Schedule(moves), migrate.Options{}).TotalFreeze.Seconds()
 		}
 		res.Rows = append(res.Rows, row)
 	}

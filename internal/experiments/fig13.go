@@ -231,8 +231,7 @@ func totalSearchRPS(spec *workload.Spec) float64 {
 // placement and returns the mean FCT in milliseconds.
 func netsimSample(topo *topology.Topology, spec *workload.Spec, placement []int, opts Fig13Options) float64 {
 	rng := rand.New(rand.NewSource(opts.Seed + 77))
-	nsOpts := netsim.DefaultOptions()
-	s := netsim.New(topo, nsOpts)
+	s := netsim.New(topo, nil)
 	nFlows := opts.NetsimFlows
 	for i := 0; i < nFlows; i++ {
 		f := spec.Flows[rng.Intn(len(spec.Flows))]

@@ -35,8 +35,7 @@ type Move struct {
 }
 
 // The migration model of the testbed: CRIU single-pass checkpoints to a
-// local SSD, images moved with rsync over a network simulated with
-// netsim.DefaultOptions.
+// local SSD, images moved with rsync over the netsim fabric.
 const (
 	// dirtyFraction is the share of the image re-copied during the
 	// stop-and-copy phase; it determines freeze time. CRIU's single-pass
@@ -61,9 +60,6 @@ type Options struct {
 	Trace *telemetry.Span
 }
 
-// DefaultOptions returns the zero Options: no retries, no tracing.
-func DefaultOptions() Options { return Options{} }
-
 // Plan is a set of moves scheduled into waves. Within one wave no server
 // appears as source or destination of more than one transfer.
 type Plan struct {
@@ -78,27 +74,25 @@ type Report struct {
 	TotalImageMB float64
 	// Duration is the end-to-end wall time of all waves.
 	Duration time.Duration
-	// MeanFreeze/MaxFreeze are per-container stop-and-copy times.
-	MeanFreeze time.Duration
-	MaxFreeze  time.Duration
-	Waves      int
-	// Stuck counts transfers that could not complete (a failed server or
-	// dead link on the path); StuckMoves holds their indices into
-	// Plan.Moves, ascending. The caller is expected to Replan them against
-	// the surviving topology — they must never be silently dropped.
-	Stuck      int
+	// TotalFreeze sums the stop-and-copy times of the completed transfers;
+	// MaxFreeze is the longest of them.
+	TotalFreeze time.Duration
+	MaxFreeze   time.Duration
+	Waves       int
+	// StuckMoves holds the indices into Plan.Moves, ascending, of
+	// transfers that could not complete (a failed server or dead link on
+	// the path). The caller is expected to Replan them against the
+	// surviving topology — they must never be silently dropped.
 	StuckMoves []int
 	// Retries counts failed transfer attempts across the plan (each one
 	// either triggered a backoff-and-retry or, on the last allowed
 	// attempt, exhaustion). Zero unless Options.Retry is enabled.
 	Retries int
-	// Exhausted counts transfers whose every attempt failed;
-	// ExhaustedMoves holds their indices into Plan.Moves, ascending.
-	// Exhausted transfers never enter the network simulation and their
-	// images do not count toward TotalImageMB — the caller must account
-	// them (the cluster loop reverts the container to its source server
-	// and reports it as a dropped migration).
-	Exhausted      int
+	// ExhaustedMoves holds the indices into Plan.Moves, ascending, of
+	// transfers whose every attempt failed. They never enter the network
+	// simulation and their images do not count toward TotalImageMB — the
+	// caller must account them (the cluster loop reverts the container to
+	// its source server and reports it as a dropped migration).
 	ExhaustedMoves []int
 }
 
@@ -164,21 +158,18 @@ func Schedule(moves []Move) *Plan {
 
 // Simulate executes the plan's transfers over the topology with the
 // flow-level simulator, wave by wave, and returns the disruption report.
-func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error) {
+func Simulate(topo *topology.Topology, plan *Plan, opts Options) Report {
 	mspan := opts.Trace.Child("migrate")
 	mspan.SetInt("moves", len(plan.Moves))
 	mspan.SetInt("waves", len(plan.Waves))
 	defer mspan.End()
 	rep := Report{NumMoves: len(plan.Moves), Waves: len(plan.Waves)}
-	var totalFreeze time.Duration
 	var clock time.Duration
 	for wi, wave := range plan.Waves {
 		wspan := mspan.Child("wave")
 		wspan.SetInt("wave", wi)
 		wspan.SetInt("transfers", len(wave))
-		nsOpts := netsim.DefaultOptions()
-		nsOpts.Trace = wspan
-		sim := netsim.New(topo, nsOpts)
+		sim := netsim.New(topo, wspan)
 		ids := make(map[netsim.FlowID]int, len(wave))
 		waveRetries := 0
 		for _, mi := range wave {
@@ -210,7 +201,7 @@ func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error)
 			diskS := 2 * m.ImageMB / diskMBps * dirtyFraction
 			freeze := time.Duration(diskS*float64(time.Second)) +
 				time.Duration(float64(c.FCT())*dirtyFraction)
-			totalFreeze += freeze
+			rep.TotalFreeze += freeze
 			if freeze > rep.MaxFreeze {
 				rep.MaxFreeze = freeze
 			}
@@ -226,13 +217,8 @@ func Simulate(topo *topology.Topology, plan *Plan, opts Options) (Report, error)
 	}
 	rep.Duration = clock
 	sort.Ints(rep.StuckMoves)
-	rep.Stuck = len(rep.StuckMoves)
 	sort.Ints(rep.ExhaustedMoves)
-	rep.Exhausted = len(rep.ExhaustedMoves)
-	if rep.NumMoves > 0 {
-		rep.MeanFreeze = totalFreeze / time.Duration(rep.NumMoves)
-	}
-	return rep, nil
+	return rep
 }
 
 // Replan rebuilds the stuck moves of a plan after mid-transfer failures.
@@ -278,13 +264,4 @@ func Replan(topo *topology.Topology, plan *Plan, stuckMoves []int, newPlace []in
 	}
 	sort.Ints(dropped)
 	return Schedule(moves), restarts, dropped, nil
-}
-
-// PlanAndSimulate is the convenience path: diff, schedule, simulate.
-func PlanAndSimulate(topo *topology.Topology, spec *workload.Spec, oldPlace, newPlace []int, opts Options) (Report, error) {
-	moves, err := PlanMoves(spec, oldPlace, newPlace)
-	if err != nil {
-		return Report{}, err
-	}
-	return Simulate(topo, Schedule(moves), opts)
 }

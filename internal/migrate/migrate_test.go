@@ -94,17 +94,14 @@ func TestScheduleEmpty(t *testing.T) {
 func TestSimulateSingleTransfer(t *testing.T) {
 	topo := topology.NewTestbed()                                  // 1G NICs
 	moves := []Move{{Container: 0, From: 0, To: 1, ImageMB: 1250}} // 10 Gbit → 10 s at line rate
-	rep, err := Simulate(topo, Schedule(moves), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Simulate(topo, Schedule(moves), Options{})
 	if rep.NumMoves != 1 || rep.Waves != 1 {
 		t.Fatalf("report = %+v", rep)
 	}
 	if rep.Duration < 9*time.Second || rep.Duration > 12*time.Second {
 		t.Fatalf("1250 MB over 1G should take ≈10s, got %v", rep.Duration)
 	}
-	if rep.MeanFreeze <= 0 || rep.MaxFreeze < rep.MeanFreeze {
+	if rep.TotalFreeze <= 0 || rep.MaxFreeze < rep.TotalFreeze {
 		t.Fatalf("freeze accounting broken: %+v", rep)
 	}
 	// Freeze is a fraction of the full migration, not all of it.
@@ -121,10 +118,7 @@ func TestSimulateParallelWave(t *testing.T) {
 		{Container: 0, From: 0, To: 1, ImageMB: 1250},
 		{Container: 1, From: 2, To: 3, ImageMB: 1250},
 	}
-	rep, err := Simulate(topo, Schedule(moves), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Simulate(topo, Schedule(moves), Options{})
 	if rep.Waves != 1 {
 		t.Fatalf("waves = %d, want 1 (disjoint servers)", rep.Waves)
 	}
@@ -141,12 +135,9 @@ func TestSimulateDeadLink(t *testing.T) {
 	}
 	src := rack.ServerIDs[0]
 	moves := []Move{{Container: 0, From: src, To: 15, ImageMB: 10}}
-	rep, err := Simulate(topo, Schedule(moves), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stuck != 1 || len(rep.StuckMoves) != 1 || rep.StuckMoves[0] != 0 {
-		t.Fatalf("Stuck = %d, StuckMoves = %v, want the one move across the dead uplink", rep.Stuck, rep.StuckMoves)
+	rep := Simulate(topo, Schedule(moves), Options{})
+	if len(rep.StuckMoves) != 1 || rep.StuckMoves[0] != 0 {
+		t.Fatalf("StuckMoves = %v, want the one move across the dead uplink", rep.StuckMoves)
 	}
 }
 
@@ -166,12 +157,9 @@ func TestSimulateTolerateStuckIsolatesFailedTransfers(t *testing.T) {
 	if err := topo.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(topo, plan, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stuck != 1 || len(rep.StuckMoves) != 1 {
-		t.Fatalf("Stuck = %d, StuckMoves = %v, want exactly one", rep.Stuck, rep.StuckMoves)
+	rep := Simulate(topo, plan, Options{})
+	if len(rep.StuckMoves) != 1 {
+		t.Fatalf("StuckMoves = %v, want exactly one", rep.StuckMoves)
 	}
 	if m := plan.Moves[rep.StuckMoves[0]]; m.Container != 1 {
 		t.Fatalf("stuck move = %+v, want container 1", m)
@@ -188,12 +176,9 @@ func TestReplanDestinationFailureRetargets(t *testing.T) {
 	if err := topo.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(topo, plan, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stuck != 1 {
-		t.Fatalf("Stuck = %d, want 1", rep.Stuck)
+	rep := Simulate(topo, plan, Options{})
+	if len(rep.StuckMoves) != 1 {
+		t.Fatalf("StuckMoves = %v, want 1", rep.StuckMoves)
 	}
 	// The policy re-placed container 0 on surviving server 3.
 	replanned, restarts, dropped, err := Replan(topo, plan, rep.StuckMoves, []int{3})
@@ -207,10 +192,7 @@ func TestReplanDestinationFailureRetargets(t *testing.T) {
 		t.Fatalf("replanned = %+v, want 0→3", replanned.Moves)
 	}
 	// The replanned transfer completes on the surviving topology.
-	rep2, err := Simulate(topo, replanned, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := Simulate(topo, replanned, Options{})
 	if rep2.NumMoves != 1 || rep2.Duration <= 0 {
 		t.Fatalf("replanned simulation = %+v", rep2)
 	}
@@ -225,12 +207,9 @@ func TestReplanSourceFailureRestartsCold(t *testing.T) {
 	if err := topo.FailServer(2); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Simulate(topo, plan, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stuck != 1 {
-		t.Fatalf("Stuck = %d, want 1", rep.Stuck)
+	rep := Simulate(topo, plan, Options{})
+	if len(rep.StuckMoves) != 1 {
+		t.Fatalf("StuckMoves = %v, want 1", rep.StuckMoves)
 	}
 	replanned, restarts, dropped, err := Replan(topo, plan, rep.StuckMoves, []int{4})
 	if err != nil {
@@ -259,12 +238,9 @@ func TestReplanAccountsEveryStuckMove(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := Simulate(topo, plan, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stuck != 3 {
-		t.Fatalf("Stuck = %d, want all 3", rep.Stuck)
+	rep := Simulate(topo, plan, Options{})
+	if len(rep.StuckMoves) != 3 {
+		t.Fatalf("StuckMoves = %v, want all 3", rep.StuckMoves)
 	}
 	newPlace := []int{5, 6, -1}
 	replanned, restarts, dropped, err := Replan(topo, plan, rep.StuckMoves, newPlace)
@@ -272,8 +248,8 @@ func TestReplanAccountsEveryStuckMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	accounted := len(replanned.Moves) + len(restarts) + len(dropped)
-	if accounted != rep.Stuck {
-		t.Fatalf("accounted for %d of %d stuck moves", accounted, rep.Stuck)
+	if accounted != len(rep.StuckMoves) {
+		t.Fatalf("accounted for %d of %d stuck moves", accounted, len(rep.StuckMoves))
 	}
 	if len(replanned.Moves) != 1 || replanned.Moves[0].Container != 0 || replanned.Moves[0].To != 5 {
 		t.Fatalf("replanned = %+v", replanned.Moves)
@@ -307,10 +283,11 @@ func TestPlanAndSimulateEndToEnd(t *testing.T) {
 	}
 	oldPlace := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	newPlace := []int{0, 4, 1, 5, 2, 6, 3, 7} // four containers move
-	rep, err := PlanAndSimulate(topo, s, oldPlace, newPlace, DefaultOptions())
+	moves, err := PlanMoves(s, oldPlace, newPlace)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := Simulate(topo, Schedule(moves), Options{})
 	if rep.NumMoves != 4 {
 		t.Fatalf("moves = %d, want 4", rep.NumMoves)
 	}

@@ -27,8 +27,6 @@ type RetryPolicy struct {
 	// BaseBackoff is the delay after the first failure; each subsequent
 	// failure doubles it. Non-positive means 1s.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Non-positive means uncapped.
-	MaxBackoff time.Duration
 	// FlakeProb is the independent per-attempt failure probability in
 	// [0,1]. Zero disables failure draws completely.
 	FlakeProb float64
@@ -65,24 +63,14 @@ func (p RetryPolicy) attemptFails(container, attempt int) bool {
 }
 
 // backoff returns the jittered delay charged before attempt (1-indexed
-// retry): min(BaseBackoff·2^(attempt−1), MaxBackoff) scaled by a
-// deterministic jitter in [0.5, 1).
+// retry): BaseBackoff·2^(attempt−1) scaled by a deterministic jitter in
+// [0.5, 1).
 func (p RetryPolicy) backoff(container, attempt int) time.Duration {
 	base := p.BaseBackoff
 	if base <= 0 {
 		base = time.Second
 	}
-	d := base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			d = p.MaxBackoff
-			break
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
+	d := base << (attempt - 1)
 	u := p.draw(container, attempt, saltJitter)
 	return time.Duration(float64(d) * (0.5 + 0.5*u))
 }

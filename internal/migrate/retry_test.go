@@ -12,7 +12,6 @@ func retryPolicy(seed uint64, flake float64) RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 4,
 		BaseBackoff: 2 * time.Second,
-		MaxBackoff:  30 * time.Second,
 		FlakeProb:   flake,
 		Seed:        seed,
 	}
@@ -27,20 +26,14 @@ func TestRetryZeroValueIsLegacy(t *testing.T) {
 		{Container: 0, From: 0, To: 1, ImageMB: 1250},
 		{Container: 1, From: 2, To: 3, ImageMB: 625},
 	}
-	base, err := Simulate(topo, Schedule(moves), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
+	base := Simulate(topo, Schedule(moves), Options{})
+	opts := Options{}
 	opts.Retry = RetryPolicy{} // zero value
-	withPolicy, err := Simulate(topology.NewTestbed(), Schedule(moves), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	withPolicy := Simulate(topology.NewTestbed(), Schedule(moves), opts)
 	if !reflect.DeepEqual(base, withPolicy) {
 		t.Fatalf("zero-value policy changed the report:\n got %+v\nwant %+v", withPolicy, base)
 	}
-	if base.Retries != 0 || base.Exhausted != 0 {
+	if base.Retries != 0 || len(base.ExhaustedMoves) != 0 {
 		t.Fatalf("retry axes nonzero without a policy: %+v", base)
 	}
 }
@@ -70,15 +63,12 @@ func TestRetryDeterministic(t *testing.T) {
 }
 
 // TestRetryBackoffGrowsAndCaps checks the exponential-with-jitter shape:
-// each retry's delay is within [0.5, 1)× of min(base·2^(k−1), cap).
+// each retry's delay is within [0.5, 1)× of base·2^(k−1).
 func TestRetryBackoffGrowsAndCaps(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Second, MaxBackoff: 5 * time.Second, FlakeProb: 1, Seed: 9}
+	p := RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Second, FlakeProb: 1, Seed: 9}
 	for attempt := 1; attempt <= 7; attempt++ {
 		d := p.backoff(3, attempt)
 		want := time.Second << (attempt - 1)
-		if want > p.MaxBackoff {
-			want = p.MaxBackoff
-		}
 		if d < want/2 || d >= want {
 			t.Fatalf("attempt %d backoff %v outside [%v, %v)", attempt, d, want/2, want)
 		}
@@ -101,16 +91,10 @@ func TestRetryDelaysInjection(t *testing.T) {
 	if !found {
 		t.Fatal("no seed with a fail-then-succeed ladder in 512 tries")
 	}
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Retry = p
-	rep, err := Simulate(topology.NewTestbed(), Schedule(moves), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Simulate(topology.NewTestbed(), Schedule(moves), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := Simulate(topology.NewTestbed(), Schedule(moves), opts)
+	base := Simulate(topology.NewTestbed(), Schedule(moves), Options{})
 	if rep.Retries < 1 {
 		t.Fatalf("retries = %d, want ≥ 1", rep.Retries)
 	}
@@ -129,13 +113,10 @@ func TestRetryExhaustionSurfaces(t *testing.T) {
 		{Container: 0, From: 0, To: 1, ImageMB: 1250},
 		{Container: 1, From: 2, To: 3, ImageMB: 625},
 	}
-	opts := DefaultOptions()
+	opts := Options{}
 	opts.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second, FlakeProb: 1, Seed: 5}
-	rep, err := Simulate(topology.NewTestbed(), Schedule(moves), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Exhausted != 2 || !reflect.DeepEqual(rep.ExhaustedMoves, []int{0, 1}) {
+	rep := Simulate(topology.NewTestbed(), Schedule(moves), opts)
+	if !reflect.DeepEqual(rep.ExhaustedMoves, []int{0, 1}) {
 		t.Fatalf("exhaustion not surfaced: %+v", rep)
 	}
 	if rep.Retries != 6 {
@@ -146,5 +127,46 @@ func TestRetryExhaustionSurfaces(t *testing.T) {
 	}
 	if rep.Duration != 0 {
 		t.Fatalf("no transfer ran, yet duration = %v", rep.Duration)
+	}
+}
+
+// TestReplanNeverExhausts pins the invariant behind the cluster loop's
+// replan: retry draws depend only on (seed, container, attempt), so a
+// transfer that reached the network and got stuck reaches it again when
+// its replan is simulated under the same policy — it cannot exhaust.
+func TestReplanNeverExhausts(t *testing.T) {
+	topo := topology.NewTestbed()
+	if err := topo.FailServer(2); err != nil {
+		t.Fatal(err)
+	}
+	// Eight transfers into the dead server 2; the policy re-places every
+	// container on surviving server 3.
+	var moves []Move
+	newPlace := make([]int, 8)
+	for c := range newPlace {
+		moves = append(moves, Move{Container: c, From: 4 + c, To: 2, ImageMB: 64})
+		newPlace[c] = 3
+	}
+	stuck, exhausted := 0, 0
+	for seed := uint64(0); seed < 32; seed++ {
+		opts := Options{Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second, FlakeProb: 0.5, Seed: seed}}
+		plan := Schedule(moves)
+		rep := Simulate(topo, plan, opts)
+		stuck += len(rep.StuckMoves)
+		exhausted += len(rep.ExhaustedMoves)
+		replanned, _, _, err := Replan(topo, plan, rep.StuckMoves, newPlace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep2 := Simulate(topo, replanned, opts)
+		if len(rep2.ExhaustedMoves) != 0 {
+			t.Fatalf("seed %d: replan of %d stuck moves exhausted %v", seed, len(rep.StuckMoves), rep2.ExhaustedMoves)
+		}
+		if len(rep2.StuckMoves) != 0 {
+			t.Fatalf("seed %d: replanned transfers to a live server stuck: %v", seed, rep2.StuckMoves)
+		}
+	}
+	if stuck == 0 || exhausted == 0 {
+		t.Fatalf("stuck = %d, exhausted = %d: the policy must both exhaust and strand transfers", stuck, exhausted)
 	}
 }

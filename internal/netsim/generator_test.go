@@ -16,7 +16,7 @@ func TestInjectWorkloadBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(topo, DefaultOptions())
+	s := New(topo, nil)
 	opts := DefaultGeneratorOptions()
 	opts.FlowsPerSecond = 200
 	n := s.InjectWorkload(spec, res.Placement, opts)
@@ -42,7 +42,7 @@ func TestInjectWorkloadFocusApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(topo, DefaultOptions())
+	s := New(topo, nil)
 	opts := DefaultGeneratorOptions()
 	opts.FocusApp = workload.TwitterCaching.Name
 	if n := s.InjectWorkload(spec, res.Placement, opts); n == 0 {
@@ -54,7 +54,7 @@ func TestInjectWorkloadDegenerateOptions(t *testing.T) {
 	topo := topology.NewTestbed()
 	spec := workload.TwitterWorkload(20, 1)
 	res, _ := (scheduler.Goldilocks{}).Place(scheduler.Request{Spec: spec, Topo: topo})
-	s := New(topo, DefaultOptions())
+	s := New(topo, nil)
 	if n := s.InjectWorkload(spec, res.Placement, GeneratorOptions{}); n != 0 {
 		t.Fatal("zero options must inject nothing")
 	}
@@ -76,7 +76,7 @@ func TestCrossValidateAnalyticModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := New(topo, DefaultOptions())
+		s := New(topo, nil)
 		opts := DefaultGeneratorOptions()
 		opts.FlowsPerSecond = 400
 		opts.FocusApp = workload.TwitterCaching.Name

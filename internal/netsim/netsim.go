@@ -30,35 +30,15 @@ type Completed struct {
 // FCT returns the flow completion time.
 func (c Completed) FCT() time.Duration { return c.Finish - c.Arrival }
 
-// LinkStats aggregates per-link load over a run.
-type LinkStats struct {
-	PeakUtilization float64 // max over time of Σrates/capacity
-	BytesCarried    float64
-}
-
-// Options tunes the simulator.
-type Options struct {
-	// LocalMbps is the rate granted to flows whose endpoints share a
+// The fabric model every caller uses: a 10G-class data center.
+const (
+	// localMbps is the rate granted to flows whose endpoints share a
 	// server (loopback / shared memory); they never touch the network.
-	LocalMbps float64
-	// PropagationDelayPerHop adds fixed per-link latency to every flow's
+	localMbps = 80000
+	// propagationDelayPerHop adds fixed per-link latency to every flow's
 	// completion (switching + propagation).
-	PropagationDelayPerHop time.Duration
-	// Trace, when non-nil, receives one child span per Run with flow and
-	// stuck counts. Metrics, when non-nil, receives flow counters and the
-	// netsim_link_peak_utilization histogram. Both pointers keep Options
-	// comparable and nil costs nothing.
-	Trace   *telemetry.Span
-	Metrics *telemetry.Registry
-}
-
-// DefaultOptions matches a 10G-class data center fabric.
-func DefaultOptions() Options {
-	return Options{
-		LocalMbps:              80000,
-		PropagationDelayPerHop: 20 * time.Microsecond,
-	}
-}
+	propagationDelayPerHop = 20 * time.Microsecond
+)
 
 type flow struct {
 	id            FlowID
@@ -80,23 +60,17 @@ type arrival struct {
 // order), then call Run once.
 type Simulator struct {
 	topo     *topology.Topology
-	opts     Options
+	trace    *telemetry.Span
 	arrivals []arrival
 	nextID   FlowID
 	ran      bool
-	stats    map[*topology.Link]*LinkStats
 }
 
-// New creates a simulator over the topology.
-func New(topo *topology.Topology, opts Options) *Simulator {
-	if opts.LocalMbps <= 0 {
-		opts.LocalMbps = DefaultOptions().LocalMbps
-	}
-	return &Simulator{
-		topo:  topo,
-		opts:  opts,
-		stats: make(map[*topology.Link]*LinkStats),
-	}
+// New creates a simulator over the topology. trace, when non-nil,
+// receives one child span per Run with flow and stuck counts; nil costs
+// nothing.
+func New(topo *topology.Topology, trace *telemetry.Span) *Simulator {
+	return &Simulator{topo: topo, trace: trace}
 }
 
 // Inject schedules a flow of sizeBytes from server src to server dst at
@@ -130,9 +104,9 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 		panic("netsim: Run called twice")
 	}
 	s.ran = true
-	// The span opens here, not in observe, so its wall duration covers the
-	// simulation itself.
-	run := s.opts.Trace.Child("netsim-run")
+	// The span opens before the event loop so its wall duration covers
+	// the simulation itself.
+	run := s.trace.Child("netsim-run")
 	sort.SliceStable(s.arrivals, func(i, j int) bool { return s.arrivals[i].at < s.arrivals[j].at })
 
 	// Active flows live in an arrival-ordered slice, not a map: progressive
@@ -152,7 +126,7 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 			active = append(active, s.arrivals[nextArr].flow)
 			nextArr++
 		}
-		s.computeRates(active)
+		computeRates(active)
 
 		// Earliest completion among active flows.
 		tc := math.Inf(1)
@@ -196,11 +170,7 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 			dt = 0
 		}
 		for _, f := range active {
-			carried := f.rateMbps * 1e6 * dt
-			f.remainingBits -= carried
-			for _, l := range f.links {
-				s.stat(l).BytesCarried += carried / 8
-			}
+			f.remainingBits -= f.rateMbps * 1e6 * dt
 		}
 		now = next
 
@@ -209,11 +179,12 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 		kept := active[:0]
 		for _, f := range active {
 			if f.remainingBits <= 1e-6 {
-				finish := now + (time.Duration(f.hops) * s.opts.PropagationDelayPerHop).Seconds()
 				done = append(done, Completed{
 					ID: f.id, Src: f.src, Dst: f.dst, SizeBytes: f.sizeBytes,
 					Arrival: secToDur(f.arrival),
-					Finish:  secToDur(finish),
+					// Propagation is added after the float clock is
+					// truncated, so it counts in exact nanoseconds.
+					Finish: secToDur(now) + time.Duration(f.hops)*propagationDelayPerHop,
 				})
 			} else {
 				kept = append(kept, f)
@@ -230,13 +201,6 @@ func (s *Simulator) Run() (done []Completed, stuck []FlowID) {
 		return done[i].ID < done[j].ID
 	})
 	sort.Slice(stuck, func(i, j int) bool { return stuck[i] < stuck[j] })
-	s.observe(run, done, stuck)
-	return done, stuck
-}
-
-// observe publishes the run's outcome to the optional telemetry sinks and
-// ends run, the span Run opened (nil when tracing is off).
-func (s *Simulator) observe(run *telemetry.Span, done []Completed, stuck []FlowID) {
 	if run.Enabled() {
 		run.SetInt("flows", len(done)+len(stuck))
 		run.SetInt("completed", len(done))
@@ -246,41 +210,19 @@ func (s *Simulator) observe(run *telemetry.Span, done []Completed, stuck []FlowI
 		}
 		run.End()
 	}
-	if m := s.opts.Metrics; m != nil {
-		m.Counter("netsim_flows_completed_total").Add(int64(len(done)))
-		m.Counter("netsim_flows_stuck_total").Add(int64(len(stuck)))
-		h := m.Histogram("netsim_link_peak_utilization",
-			0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-		// Histogram increments commute, so map order cannot leak into the
-		// exported buckets.
-		for _, st := range s.stats {
-			h.Observe(st.PeakUtilization)
-		}
-	}
+	return done, stuck
 }
 
 func secToDur(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-func (s *Simulator) stat(l *topology.Link) *LinkStats {
-	st := s.stats[l]
-	if st == nil {
-		st = &LinkStats{}
-		s.stats[l] = st
-	}
-	return st
-}
-
-// Stats returns per-link statistics after Run.
-func (s *Simulator) Stats() map[*topology.Link]*LinkStats { return s.stats }
-
 // computeRates assigns max-min fair rates to the active flows via
 // progressive filling: repeatedly saturate the link with the smallest fair
 // share and freeze its flows at that rate. Links are scanned in first-seen
 // order (following the arrival-ordered flow slice) so that equal-share
 // bottleneck ties resolve the same way every run.
-func (s *Simulator) computeRates(active []*flow) {
+func computeRates(active []*flow) {
 	type linkState struct {
 		residual float64
 		unfixed  []*flow
@@ -291,7 +233,7 @@ func (s *Simulator) computeRates(active []*flow) {
 	for _, f := range active {
 		f.rateMbps = 0
 		if len(f.links) == 0 {
-			f.rateMbps = s.opts.LocalMbps // local flow, no shared links
+			f.rateMbps = localMbps // local flow, no shared links
 			continue
 		}
 		unfixedCount++
@@ -346,20 +288,6 @@ func (s *Simulator) computeRates(active []*flow) {
 			f.rateMbps = share
 			for _, l := range f.links {
 				states[l].residual -= share
-			}
-		}
-	}
-
-	// Record peak utilization.
-	for _, l := range linkOrder {
-		st := states[l]
-		if l.CapacityMbps > 0 {
-			u := (l.CapacityMbps - st.residual) / l.CapacityMbps
-			if u > 1 {
-				u = 1
-			}
-			if rec := s.stat(l); u > rec.PeakUtilization {
-				rec.PeakUtilization = u
 			}
 		}
 	}
