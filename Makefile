@@ -34,11 +34,12 @@ SCALING_COUNT ?= 2
 ALLOCS_CEILING_100K ?= 200000
 
 # Allocation ceiling for the netsim row (see allocs-guard): 200 flows on a
-# k=8 fat tree, BenchmarkNetsim200Flows. Two 5-sample runs had medians of
-# 122,624 and 122,321 allocs/op (2 CPUs, go1.24.0; the spread comes from
-# the benchmark's flow generator, which is not reset between iterations).
-# computeRates, the per-event rate allocation, makes 99% of them. The
-# ceiling leaves ~30% headroom over the median.
+# k=8 fat tree, BenchmarkNetsim200Flows. The benchmark re-seeds its flow
+# generator every iteration, so each one simulates the same 200 flows and
+# allocs/op does not depend on the iteration count: 127,459 allocs/op in
+# every sample of two 5-sample runs and at -benchtime 1x (2 CPUs,
+# go1.24.0). computeRates, the per-event rate allocation, makes 99% of
+# them. The ceiling leaves ~25% headroom.
 ALLOCS_CEILING_NETSIM ?= 160000
 
 .PHONY: all build test race bench bench-json telemetry-overhead allocs-guard scaling-bench scaling-guard crash-replay-guard inspect-guard fmt fmt-check vet lint fuzz-smoke ci

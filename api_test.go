@@ -120,7 +120,6 @@ func TestVirtualClusterFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pl.Release()
 	if pl.ServerOf[0] < 0 || pl.ServerOf[1] < 0 {
 		t.Fatal("containers unplaced")
 	}

@@ -239,6 +239,8 @@ func DefaultPartitionOptions() PartitionOptions { return partition.DefaultOption
 
 // PlaceVirtualClusters places container groups on an asymmetric or
 // heterogeneous topology with Eq. 4–5 outbound-bandwidth reservations.
+// The reservations are recorded in the result only: the topology is left
+// unchanged, and the result holds no topology state and needs no release.
 func PlaceVirtualClusters(topo *Topology, numContainers int, groups []VirtualCluster, targetUtil float64) (*vc.Placement, error) {
 	return vc.Place(topo, numContainers, groups, targetUtil)
 }

@@ -341,9 +341,6 @@ func (p Goldilocks) placeAsymmetric(req Request, g *graph.Graph, tree *partition
 		}
 		return Result{}, fmt.Errorf("goldilocks: asymmetric placement failed: %w", err)
 	}
-	// One-shot placement: reservations only matter while choosing; the
-	// epoch runner re-places from scratch next epoch.
-	defer pl.Release()
 	return Result{Placement: pl.ServerOf}, nil
 }
 

@@ -2,8 +2,10 @@ package scheduler
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"goldilocks/internal/partition"
@@ -622,6 +624,87 @@ func TestNoPlacementOnFailedServer(t *testing.T) {
 				t.Errorf("%s placed container %d on failed server %d", p.Name(), i, s)
 			}
 		}
+	}
+}
+
+// TestConcurrentPlaceLeavesTopologyAlone pins that every policy reads the
+// topology and never writes it, so concurrent placements on one shared
+// topology neither race nor disturb each other. The fat tree has a failed
+// server and a degraded rack uplink, which sends Goldilocks (and the
+// incremental policy's fallback) down the Virtual Cluster path with its
+// per-uplink bandwidth reservations.
+func TestConcurrentPlaceLeavesTopologyAlone(t *testing.T) {
+	topo, err := topology.NewFatTree(4, power.Wedge, power.Wedge, power.Wedge, topology.Config{
+		ServerCapacity: resources.New(7200, 6*1024*1024, 10000),
+		ServerModel:    power.DellR940,
+		ServerLinkMbps: 10000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.FailServer(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.FailUplinkFraction(topo.SubtreesAtLevel(topology.LevelRack)[2], 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if topo.IsSymmetric() {
+		t.Fatal("fault-injected fat tree must be asymmetric")
+	}
+	uplinks := func() []float64 {
+		var caps []float64
+		for _, n := range topo.Nodes() {
+			if n.Uplink != nil {
+				caps = append(caps, n.Uplink.CapacityMbps)
+			}
+		}
+		return caps
+	}
+	wantUplinks := uplinks()
+	wantCapacity := append([]resources.Vector(nil), topo.Capacity...)
+
+	req := Request{Spec: workload.MixtureWorkload(120, 31), Topo: topo}
+	policies := append(allPolicies(), primedIncremental(t, req))
+	want := make([][]int, len(policies))
+	for i, p := range policies {
+		res, err := p.Place(req)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		want[i] = res.Placement
+	}
+
+	const workers, reps = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, workers*reps*len(policies))
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < reps; r++ {
+				for i, p := range policies {
+					res, err := p.Place(req)
+					if err != nil {
+						errs <- fmt.Errorf("%s: %w", p.Name(), err)
+						continue
+					}
+					if !reflect.DeepEqual(res.Placement, want[i]) {
+						errs <- fmt.Errorf("%s: concurrent placement differs from the serial one", p.Name())
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := uplinks(); !reflect.DeepEqual(got, wantUplinks) {
+		t.Errorf("uplink capacities changed by placement:\n got %v\nwant %v", got, wantUplinks)
+	}
+	if !reflect.DeepEqual(topo.Capacity, wantCapacity) {
+		t.Errorf("server capacities changed by placement")
 	}
 }
 

@@ -48,52 +48,14 @@ func (l Level) String() string {
 
 // Link is the aggregate outbound connectivity of a subtree: the bisection
 // bandwidth between the subtree and the remainder of the data center.
-// Reserved tracks Virtual Cluster bandwidth reservations (§IV).
 type Link struct {
 	CapacityMbps float64
-	ReservedMbps float64
 	// nominalMbps snapshots the healthy design capacity the first time a
 	// failure setter degrades the link, so RecoverUplink restores the
 	// exact pre-failure value (repeated fractional failures compound on
 	// CapacityMbps and would otherwise be irreversible). Zero means the
 	// link has never been degraded.
 	nominalMbps float64
-}
-
-// Nominal returns the link's healthy design capacity: the pre-failure
-// capacity when the link has been degraded, CapacityMbps otherwise.
-func (l *Link) Nominal() float64 {
-	if l.nominalMbps > 0 {
-		return l.nominalMbps
-	}
-	return l.CapacityMbps
-}
-
-// Residual returns the unreserved bandwidth.
-func (l *Link) Residual() float64 {
-	r := l.CapacityMbps - l.ReservedMbps
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// Reserve consumes mbps of residual bandwidth; it reports whether the
-// reservation fit.
-func (l *Link) Reserve(mbps float64) bool {
-	if mbps < 0 || mbps > l.Residual()+1e-9 {
-		return false
-	}
-	l.ReservedMbps += mbps
-	return true
-}
-
-// Release returns mbps of reserved bandwidth.
-func (l *Link) Release(mbps float64) {
-	l.ReservedMbps -= mbps
-	if l.ReservedMbps < 0 {
-		l.ReservedMbps = 0
-	}
 }
 
 // SwitchGroup is a set of identical switches attached to a node (e.g. the

@@ -175,30 +175,6 @@ func TestPathLinks(t *testing.T) {
 	}
 }
 
-func TestLinkReservation(t *testing.T) {
-	l := &Link{CapacityMbps: 100}
-	if !l.Reserve(60) {
-		t.Fatal("reserve 60/100 must succeed")
-	}
-	if l.Residual() != 40 {
-		t.Fatalf("residual = %v, want 40", l.Residual())
-	}
-	if l.Reserve(50) {
-		t.Fatal("overcommit must fail")
-	}
-	if l.Reserve(-1) {
-		t.Fatal("negative reservation must fail")
-	}
-	l.Release(30)
-	if l.Residual() != 70 {
-		t.Fatalf("residual after release = %v, want 70", l.Residual())
-	}
-	l.Release(1000)
-	if l.ReservedMbps != 0 {
-		t.Fatal("release must clamp at zero")
-	}
-}
-
 func TestFailUplinkMakesAsymmetric(t *testing.T) {
 	tp, err := NewFatTree(4, power.Wedge, power.Wedge, power.Wedge, testConfig())
 	if err != nil {
@@ -389,11 +365,11 @@ func TestFailRecoverUplinkRoundTrip(t *testing.T) {
 	if pod.Uplink.CapacityMbps != 0 {
 		t.Fatalf("cut link capacity = %v, want 0", pod.Uplink.CapacityMbps)
 	}
-	if rack.Uplink.Nominal() != 2000 {
-		t.Fatalf("Nominal = %v, want 2000", rack.Uplink.Nominal())
-	}
 	if err := tp.RecoverUplink(rack); err != nil {
 		t.Fatal(err)
+	}
+	if rack.Uplink.CapacityMbps != 2000 {
+		t.Fatalf("recovered capacity = %v, want the nominal 2000", rack.Uplink.CapacityMbps)
 	}
 	if err := tp.RecoverUplink(pod); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,8 @@ package vc_test
 //     R = min(Σ_inside B, Σ_outside-intra B + Σ_inter B) — recomputed
 //     independently here from the returned assignment — and never more
 //     than the link's (possibly degraded) capacity, and
-//  4. releases every reservation when a group set is unplaceable.
+//  4. leaves every uplink's capacity unchanged, whether it fails or
+//     succeeds: reservations live in the returned placement only.
 //
 // Seed corpora live in testdata/fuzz/FuzzVCPlaceAsymmetric/ and run as
 // ordinary test cases under plain `go test`; `make fuzz-smoke` gives the
@@ -124,21 +125,27 @@ func FuzzVCPlaceAsymmetric(f *testing.F) {
 		groups := buildFuzzGroups(raw, numC)
 		target := 0.5 + float64(fuzzByteAt(raw, 130)%50)/100
 
+		nodes := tp.Nodes()
+		capacity := make([]float64, len(nodes))
+		for i, nd := range nodes {
+			if nd.Uplink != nil {
+				capacity[i] = nd.Uplink.CapacityMbps
+			}
+		}
 		pl, err := vc.Place(tp, numC, groups, target)
+		// Invariant 4: Place, failed or not, writes no uplink.
+		for i, nd := range nodes {
+			if nd.Uplink != nil && nd.Uplink.CapacityMbps != capacity[i] {
+				t.Fatalf("node %d uplink capacity %v Mbps changed to %v by Place",
+					nd.ID, capacity[i], nd.Uplink.CapacityMbps)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, vc.ErrUnplaceable) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
-			// Invariant 4: failure must release every reservation.
-			for _, nd := range tp.Nodes() {
-				if l := nd.Uplink; l != nil && math.Abs(l.Residual()-l.CapacityMbps) > 1e-6 {
-					t.Fatalf("node %d uplink holds %v Mbps after a failed Place",
-						nd.ID, l.CapacityMbps-l.Residual())
-				}
-			}
 			return
 		}
-		defer pl.Release()
 
 		// Invariants 1–2: everyone placed on a live server within capacity.
 		loads := make([]resources.Vector, tp.NumServers())
@@ -169,7 +176,6 @@ func FuzzVCPlaceAsymmetric(f *testing.F) {
 		// below the chosen subtree) or nothing (above it) — so the committed
 		// amount must fall between the sums of the unambiguous terms and
 		// the sums including every whole-group boundary.
-		nodes := tp.Nodes()
 		expectMin := make(map[*topology.Link]float64)
 		expectMax := make(map[*topology.Link]float64)
 		for _, g := range groups {
@@ -212,7 +218,7 @@ func FuzzVCPlaceAsymmetric(f *testing.F) {
 			if l == nil {
 				continue
 			}
-			got := pl.Reserved[l]
+			got := pl.Reserved[nd.ID]
 			if got < expectMin[l]-1e-6 || got > expectMax[l]+1e-6 {
 				t.Fatalf("node %d uplink reserves %v Mbps, want within Eq. 4/5 bounds [%v, %v]",
 					nd.ID, got, expectMin[l], expectMax[l])
@@ -220,9 +226,6 @@ func FuzzVCPlaceAsymmetric(f *testing.F) {
 			if got > l.CapacityMbps+1e-6 {
 				t.Fatalf("node %d uplink reserves %v Mbps over its %v Mbps capacity",
 					nd.ID, got, l.CapacityMbps)
-			}
-			if l.Residual() < -1e-9 {
-				t.Fatalf("node %d uplink residual %v is negative", nd.ID, l.Residual())
 			}
 		}
 	})

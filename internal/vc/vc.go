@@ -57,24 +57,17 @@ func (g Group) interBandwidth() float64 {
 	return s
 }
 
-// Placement is the result of Place.
+// Placement is the result of Place. Place writes nothing into the
+// topology, so a Placement holds no topology state and needs no release.
 type Placement struct {
 	// ServerOf maps global container index → server id (-1 if the index
 	// was not part of any group).
 	ServerOf []int
-	// Reserved lists the bandwidth reservations committed on links, so
-	// callers can release them when the epoch ends.
-	Reserved map[*topology.Link]float64
-}
-
-// Release returns all committed reservations to the topology.
-func (p *Placement) Release() {
-	// Each link's release only adds back to that link's own residual.
-	//lint:ignore maporder per-link releases are independent; any order restores the same residuals
-	for l, mbps := range p.Reserved {
-		l.Release(mbps)
-	}
-	p.Reserved = map[*topology.Link]float64{}
+	// Reserved[id] is the bandwidth reserved on the uplink of the node
+	// with that ID (the builders number nodes densely from 0), summed over
+	// the groups placed. Each group's subtree search sees the uplink
+	// capacity less the reservations of the groups placed before it.
+	Reserved []float64
 }
 
 // Place assigns every group to servers of the (possibly asymmetric,
@@ -102,7 +95,7 @@ func PlaceT(topo *topology.Topology, numContainers int, groups []Group, targetUt
 	defer span.End()
 	pl := &Placement{
 		ServerOf: make([]int, numContainers),
-		Reserved: make(map[*topology.Link]float64),
+		Reserved: make([]float64, len(topo.Nodes())),
 	}
 	for i := range pl.ServerOf {
 		pl.ServerOf[i] = -1
@@ -115,6 +108,7 @@ func PlaceT(topo *topology.Topology, numContainers int, groups []Group, targetUt
 	candidates = append(candidates, topo.SubtreesAtLevel(topology.LevelPod)...)
 	candidates = append(candidates, topo.Root)
 
+	ref := topo.AverageCapacity()
 	explain := sess.Auditing()
 	for _, g := range groups {
 		if err := validateGroup(g, numContainers); err != nil {
@@ -124,10 +118,19 @@ func PlaceT(topo *topology.Topology, numContainers int, groups []Group, targetUt
 		gspan.SetInt("group", g.ID)
 		gspan.SetInt("containers", len(g.Containers))
 		gspan.SetFloat("bandwidth_mbps", g.totalBandwidth())
+		// Members in decreasing normalized demand: first-fit decreasing
+		// tries them in this order under every candidate subtree.
+		order := make([]int, len(g.Containers))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool {
+			return g.Demands[order[a]].Normalize(ref).Sum() > g.Demands[order[b]].Normalize(ref).Sum()
+		})
 		var rejected []telemetry.Candidate
 		placed := false
 		for _, sub := range candidates {
-			ok, reason := tryPlaceGroup(topo, sub, g, targetUtil, used, pl, explain)
+			ok, reason := tryPlaceGroup(topo, sub, g, order, targetUtil, used, pl, explain)
 			if ok {
 				if explain {
 					sess.Decide(telemetry.Decision{
@@ -155,7 +158,6 @@ func PlaceT(topo *topology.Topology, numContainers int, groups []Group, targetUt
 					Candidates: rejected,
 				})
 			}
-			pl.Release()
 			return nil, fmt.Errorf("%w: group %d (%d containers, %v Mbps)",
 				ErrUnplaceable, g.ID, len(g.Containers), g.totalBandwidth())
 		}
@@ -181,23 +183,15 @@ func validateGroup(g Group, numContainers int) error {
 	return nil
 }
 
-// tryPlaceGroup attempts to place the whole group under subtree `sub`.
-// On success it commits server loads and bandwidth reservations and
-// returns true; on failure it leaves all state untouched. When explain is
-// set, a failure also returns the audit reason (which server fit or
-// Eq. 4/5 residual check failed); otherwise the reason is "".
-func tryPlaceGroup(topo *topology.Topology, sub *topology.Node, g Group, targetUtil float64, used []resources.Vector, pl *Placement, explain bool) (bool, string) {
+// tryPlaceGroup attempts to place the whole group under subtree `sub`,
+// trying its members in `order`. On success it commits server loads and
+// bandwidth reservations into used and pl and returns true; on failure it
+// leaves both untouched. When explain is set, a failure also returns the
+// audit reason (which server fit or Eq. 4/5 residual check failed);
+// otherwise the reason is "".
+func tryPlaceGroup(topo *topology.Topology, sub *topology.Node, g Group, order []int, targetUtil float64, used []resources.Vector, pl *Placement, explain bool) (bool, string) {
 	// Phase 1: fit containers onto servers (first-fit decreasing over the
 	// subtree's servers that are up, which are already in left-most order).
-	order := make([]int, len(g.Containers))
-	for i := range order {
-		order[i] = i
-	}
-	ref := topo.AverageCapacity()
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Demands[order[a]].Normalize(ref).Sum() > g.Demands[order[b]].Normalize(ref).Sum()
-	})
-
 	ceil := resources.UtilizationCaps(targetUtil)
 	// Member→server assignment is dense (every member gets a server or the
 	// whole attempt fails), so a slice keeps later commit loops ordered by
@@ -230,7 +224,7 @@ func tryPlaceGroup(topo *topology.Topology, sub *topology.Node, g Group, targetU
 	// Phase 2: bandwidth reservations on every boundary the group spans.
 	// For each node under (and including) sub whose subtree contains some
 	// group members, reserve Eq. 4/5's R on its uplink.
-	reservations, fail := computeReservations(topo, sub, g, assignment)
+	reservations, fail := computeReservations(topo, sub, g, assignment, pl.Reserved)
 	if fail != nil {
 		if explain {
 			return false, fmt.Sprintf("Eq. 4/5 reservation %.0f Mbps exceeds residual %.0f Mbps on uplink of %s",
@@ -246,19 +240,16 @@ func tryPlaceGroup(topo *topology.Topology, sub *topology.Node, g Group, targetU
 	for m, s := range assignment {
 		pl.ServerOf[g.Containers[m]] = s
 	}
-	// Each link appears once in `reservations`, and Reserve only
-	// subtracts from that link's own residual, so the commit is
-	// order-insensitive.
-	//lint:ignore maporder per-link commits are independent; no order can change the final residuals
-	for l, r := range reservations {
-		if !l.Reserve(r) {
-			// computeReservations already checked residuals; a failed
-			// commit means concurrent mutation — treat as a bug.
-			panic("vc: reservation commit failed after residual check")
-		}
-		pl.Reserved[l] += r
+	for _, r := range reservations {
+		pl.Reserved[r.node.ID] += r.mbps
 	}
 	return true, ""
+}
+
+// reservation is one boundary's Eq. 4/5 bandwidth for a group.
+type reservation struct {
+	node *topology.Node
+	mbps float64
 }
 
 // resFailure identifies the boundary whose residual bandwidth could not
@@ -270,11 +261,12 @@ type resFailure struct {
 }
 
 // computeReservations derives the per-uplink reservation for the group
-// given its member→server assignment, checking residual capacity. It
-// covers the uplink of sub itself and of every descendant subtree that
-// holds a strict subset of the group (rack boundaries when the group spans
-// racks inside a pod, and the server NIC links).
-func computeReservations(topo *topology.Topology, sub *topology.Node, g Group, assignment []int) (map[*topology.Link]float64, *resFailure) {
+// given its member→server assignment, checking each against the uplink's
+// residual: its capacity less reserved[node ID]. It covers the uplink of
+// sub itself and of every descendant subtree that holds a strict subset of
+// the group (rack boundaries when the group spans racks inside a pod, and
+// the server NIC links).
+func computeReservations(topo *topology.Topology, sub *topology.Node, g Group, assignment []int, reserved []float64) ([]reservation, *resFailure) {
 	totalB := g.totalBandwidth()
 	interB := g.interBandwidth()
 
@@ -299,7 +291,7 @@ func computeReservations(topo *topology.Topology, sub *topology.Node, g Group, a
 		}
 	}
 
-	res := make(map[*topology.Link]float64, len(insideB))
+	res := make([]reservation, 0, len(order))
 	for _, n := range order {
 		if n.Uplink == nil {
 			continue // root: no outbound boundary
@@ -313,10 +305,11 @@ func computeReservations(topo *topology.Topology, sub *topology.Node, g Group, a
 		if r <= 0 {
 			continue
 		}
-		if r > n.Uplink.Residual()+1e-9 {
-			return nil, &resFailure{node: n, need: r, residual: n.Uplink.Residual()}
+		residual := math.Max(0, n.Uplink.CapacityMbps-reserved[n.ID])
+		if r > residual+1e-9 {
+			return nil, &resFailure{node: n, need: r, residual: residual}
 		}
-		res[n.Uplink] = r
+		res = append(res, reservation{node: n, mbps: r})
 	}
 	return res, nil
 }

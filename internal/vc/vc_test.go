@@ -2,6 +2,7 @@ package vc
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"goldilocks/internal/power"
@@ -117,8 +118,8 @@ func TestPlaceBandwidthReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Reserved) == 0 {
-		t.Fatal("no bandwidth reservations recorded")
+	if len(pl.Reserved) != len(tp.Nodes()) {
+		t.Fatalf("reservation table has %d entries, want one per node (%d)", len(pl.Reserved), len(tp.Nodes()))
 	}
 	// Both containers fit one server (600 ≤ 700 CPU), so every boundary
 	// around them only carries the inter-group traffic:
@@ -126,12 +127,11 @@ func TestPlaceBandwidthReservation(t *testing.T) {
 	if pl.ServerOf[0] != pl.ServerOf[1] {
 		t.Fatalf("expected co-location, got servers %d and %d", pl.ServerOf[0], pl.ServerOf[1])
 	}
-	nic := tp.ServerNode[pl.ServerOf[0]].Uplink
-	if got := pl.Reserved[nic]; got != 200 {
+	server := tp.ServerNode[pl.ServerOf[0]]
+	if got := pl.Reserved[server.ID]; got != 200 {
 		t.Fatalf("NIC reservation = %v, want 200 (Eq. 4 min)", got)
 	}
-	rack := tp.ServerNode[pl.ServerOf[0]].Parent
-	if got := pl.Reserved[rack.Uplink]; got != 200 {
+	if got := pl.Reserved[server.Parent.ID]; got != 200 {
 		t.Fatalf("rack uplink reservation = %v, want 200 (inter-group only)", got)
 	}
 }
@@ -177,6 +177,33 @@ func TestPlaceSequentialGroupsShareResidual(t *testing.T) {
 			t.Fatalf("server %d hosts %d containers of 600 CPU (cap 700)", s, n)
 		}
 	}
+
+	// Bandwidth: rack 0's uplink is degraded to 1000 Mbps. Each group is
+	// one 400-CPU container whose whole 600 Mbps is inter-group traffic,
+	// so its Eq. 4/5 reservation on the rack uplink is 600: either group
+	// fits rack 0 alone (and CPU would let the second take server 1), but
+	// both together would need 1200. The second group must move to
+	// another rack.
+	tp = fatTree4(t)
+	rack0 := tp.SubtreesAtLevel(topology.LevelRack)[0]
+	if err := tp.FailUplinkFraction(rack0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	b1 := mkGroup(0, 0, 1, resources.New(400, 10, 10), 600, 600)
+	b2 := mkGroup(1, 1, 1, resources.New(400, 10, 10), 600, 600)
+	pl, err = Place(tp, 2, []Group{b1, b2}, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tp.ServerNode[pl.ServerOf[0]].Parent; got != rack0 {
+		t.Fatalf("first group landed under node %d, want rack 0 (node %d)", got.ID, rack0.ID)
+	}
+	if got := tp.ServerNode[pl.ServerOf[1]].Parent; got == rack0 {
+		t.Fatalf("second group shares rack 0 (server %d) past its uplink residual", pl.ServerOf[1])
+	}
+	if got := pl.Reserved[rack0.ID]; got != 600 {
+		t.Fatalf("rack 0 uplink reserves %v Mbps, want 600", got)
+	}
 }
 
 func TestPlaceUnplaceable(t *testing.T) {
@@ -197,25 +224,8 @@ func TestPlaceReleasesOnFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected failure")
 	}
-	for _, n := range tp.Nodes() {
-		if n.Uplink != nil && n.Uplink.ReservedMbps != 0 {
-			t.Fatalf("reservation leaked on node %d: %v Mbps", n.ID, n.Uplink.ReservedMbps)
-		}
-	}
-}
-
-func TestPlaceRelease(t *testing.T) {
-	tp := fatTree4(t)
-	g := mkGroup(0, 0, 2, resources.New(300, 10, 10), 200, 40)
-	pl, err := Place(tp, 2, []Group{g}, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl.Release()
-	for _, n := range tp.Nodes() {
-		if n.Uplink != nil && n.Uplink.ReservedMbps != 0 {
-			t.Fatalf("reservation remains after Release on node %d", n.ID)
-		}
+	if !reflect.DeepEqual(tp, fatTree4(t)) {
+		t.Fatal("a failed Place changed the topology")
 	}
 }
 
